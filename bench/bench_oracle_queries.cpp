@@ -16,14 +16,8 @@
 // ratio `exact-hit speedup vs recompute` (mean miss / mean exact). The
 // measured numbers land in results/BENCH_oracle.json (see EXPERIMENTS.md).
 //
-// With --connect the harness additionally self-hosts a `bbrnash serve`
-// daemon on a private socket and times the same exact-tier hits through
-// the full wire path (connect once, then query/answer round trips) as the
-// `daemon_exact` tier — the socket + framing + scheduling overhead an NE
-// search pays for sharing one memo across processes.
-//
 // Usage:
-//   bench_oracle_queries [--quick] [--check] [--json PATH] [--connect]
+//   bench_oracle_queries [--quick] [--check] [--json PATH]
 //     [--write-baseline FILE] [--baseline FILE] [--tolerance F]
 //     --quick   shorter compute cells + fewer timed queries (CI smoke)
 //     --check   exit non-zero unless (a) every exact hit is bit-identical
@@ -33,8 +27,6 @@
 //               numbers, and (d) exact hits are >= 1000x faster than
 //               recompute (a conservative floor: the full-fidelity ratio
 //               runs well past 10000x; the floor keeps CI flake-free)
-//     --connect time the daemon path too (adds the daemon_exact tier; with
-//               --check also asserts daemon answers are ok/exact)
 //     --json    write the measurements as JSON (bbrnash-oracle-perf-v1)
 //     --write-baseline FILE
 //               record per-tier queries/sec as a JSONL baseline
@@ -54,14 +46,10 @@
 #include <map>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include <unistd.h>
 
 #include "exp/cli_flags.hpp"
 #include "exp/oracle.hpp"
-#include "exp/serve.hpp"
 #include "util/jsonl.hpp"
 #include "util/schemas.hpp"
 #include "util/stats.hpp"
@@ -98,18 +86,6 @@ struct TierStats {
     return m > 0.0 ? 1e9 / m : 0.0;
   }
 };
-
-/// The wire-line twin of make_query(): every knob spelled out so the
-/// daemon's oracle computes exactly the cells the in-process tiers use.
-std::string make_query_line(double buffer_bdp, bool quick) {
-  char buf[192];
-  std::snprintf(buf, sizeof buf,
-                "capacity=100 rtt=40 buffer-bdp=%g cubic=1 other=1 "
-                "trials=%d duration=%g warmup=%g seed=1 jobs=1",
-                buffer_bdp, quick ? 1 : 3, quick ? 5.0 : 40.0,
-                quick ? 1.0 : 8.0);
-  return buf;
-}
 
 OracleQuery make_query(double buffer_bdp, bool quick) {
   OracleQuery q;
@@ -241,7 +217,6 @@ int main(int argc, char** argv) {
   using namespace bbrnash;
   bool quick = false;
   bool check = false;
-  bool connect_mode = false;
   double tolerance = 0.2;
   std::string json_path;
   std::string baseline_in;
@@ -249,7 +224,7 @@ int main(int argc, char** argv) {
   const auto usage = [] {
     std::fprintf(stderr,
                  "usage: bench_oracle_queries [--quick] [--check] "
-                 "[--json PATH] [--connect]\n"
+                 "[--json PATH]\n"
                  "  [--write-baseline FILE] [--baseline FILE] "
                  "[--tolerance F]\n");
     return 2;
@@ -261,8 +236,6 @@ int main(int argc, char** argv) {
         quick = true;
       } else if (arg == "--check") {
         check = true;
-      } else if (arg == "--connect") {
-        connect_mode = true;
       } else if (arg == "--json" && i + 1 < argc) {
         json_path = argv[++i];
       } else if (arg == "--write-baseline" && i + 1 < argc) {
@@ -384,66 +357,6 @@ int main(int argc, char** argv) {
   tiers.push_back(std::move(miss));
   tiers.push_back(std::move(exact));
   tiers.push_back(std::move(interp));
-
-  // --- daemon tier: exact hits over the serve wire path ------------------
-  if (connect_mode) {
-    ServeConfig scfg;
-    scfg.socket_path =
-        "/tmp/bbrnash-bench-serve-" + std::to_string(getpid()) + ".sock";
-    scfg.oracle.max_band_deviation = 1e9;  // mirror the in-process oracle
-    OracleDaemon daemon{scfg};
-    std::thread host{[&daemon] { (void)daemon.run(); }};
-    for (int i = 0; i < 1000 && !daemon.serving(); ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    if (!daemon.serving()) {
-      std::fprintf(stderr, "FAIL: bench daemon did not start: %s\n",
-                   daemon.error().c_str());
-      ok = false;
-    } else {
-      ClientConfig ccfg;
-      ccfg.socket_path = scfg.socket_path;
-      OracleClient client{ccfg};
-      // Warm: compute the grid cells inside the daemon (tier-3 cost lands
-      // here, not in the timed loop).
-      std::vector<ServeReply> replies;
-      for (const double bdp : grid_bdps) {
-        if (client.query_lines({make_query_line(bdp, quick)}, &replies) !=
-            ClientStatus::kOk) {
-          std::fprintf(stderr, "FAIL: daemon warm-up query failed\n");
-          ok = false;
-        }
-      }
-      // Timed: one query/answer round trip per iteration, hot memo hits
-      // only — the per-call overhead of sharing the memo across processes.
-      TierStats dexact{"daemon_exact", {}};
-      const std::size_t daemon_iters = quick ? 2000 : 10000;
-      dexact.ns.reserve(daemon_iters);
-      for (std::size_t i = 0; i < daemon_iters && ok; ++i) {
-        const std::string line =
-            make_query_line(grid_bdps[i % grid_bdps.size()], quick);
-        const auto t0 = Clock::now();
-        const ClientStatus st = client.query_lines({line}, &replies);
-        const auto t1 = Clock::now();
-        dexact.ns.push_back(
-            std::chrono::duration<double, std::nano>(t1 - t0).count());
-        if (check &&
-            (st != ClientStatus::kOk ||
-             replies[0].record.get_string("status") != "ok" ||
-             replies[0].record.get_string("fidelity") != "exact")) {
-          std::fprintf(stderr,
-                       "FAIL: daemon hot query %zu answered %s/%s, expected "
-                       "ok/exact\n",
-                       i, replies[0].record.get_string("status").c_str(),
-                       replies[0].record.get_string("fidelity").c_str());
-          ok = false;
-        }
-      }
-      tiers.push_back(std::move(dexact));
-    }
-    daemon.request_stop();
-    host.join();
-  }
 
   std::printf("%-14s %9s %14s %12s %12s\n", "tier", "queries", "queries/sec",
               "p50_us", "p99_us");

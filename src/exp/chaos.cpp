@@ -47,12 +47,6 @@ const char* to_string(ChaosClass cls) {
       return "worker-hang";
     case ChaosClass::kSupervisorCrash:
       return "supervisor-crash";
-    case ChaosClass::kClientDisconnect:
-      return "client-disconnect";
-    case ChaosClass::kServeCrash:
-      return "serve-crash";
-    case ChaosClass::kSlowClient:
-      return "slow-client";
   }
   return "unknown";
 }

@@ -47,14 +47,6 @@ enum class ChaosClass : std::uint8_t {
   kWorkerKill,          ///< SIGKILL a fabric worker mid-cell
   kWorkerHang,          ///< stall a worker's heartbeat past the lease deadline
   kSupervisorCrash,     ///< crash the fabric supervisor before a commit
-  // Daemon classes (exp/serve.hpp). The DAEMON owns the injector, so a
-  // drill fires once per daemon lifetime and the client's bounded retry
-  // (or a daemon restart, for kServeCrash) converges on the fault-free
-  // answer — tests assert bit-identity against an undrilled run.
-  kClientDisconnect,    ///< drop a client's connection mid-request
-  kServeCrash,          ///< kill the daemon mid-compute (before memoization)
-  kSlowClient,          ///< stall writes to one client past the write-stall
-                        ///< deadline so the shed/drop path executes
 };
 
 [[nodiscard]] const char* to_string(ChaosClass cls);

@@ -91,9 +91,7 @@ std::optional<MixKeyAxes> parse_mix_key_axes(const std::string& key) {
 }
 
 std::optional<MixOutcome> model_only_outcome(const NetworkParams& net,
-                                             int num_cubic, int num_bbr,
-                                             double duration_sec) {
-  (void)duration_sec;  // reserved for a future Ware-weighted blend
+                                             int num_cubic, int num_bbr) {
   if (num_cubic < 1 || num_bbr < 1) return std::nullopt;
   const auto iv = prediction_interval(net, num_cubic, num_bbr);
   if (!iv) return std::nullopt;
@@ -310,15 +308,13 @@ std::optional<MixOutcome> PayoffOracle::try_interpolate_locked(
 
 OracleAnswer PayoffOracle::answer_miss(const OracleQuery& q,
                                        const std::string& key) {
-  OracleAnswer ans;
-  ans.key = key;
-  if (cfg_.no_compute) {
-    return answer_without_compute(q, "no-compute");
-  }
+  if (cfg_.no_compute) return answer_without_compute(q, key);
 
   // Tier 3: genuinely compute the cell, then memoize + persist. The
   // numbers are a pure function of the key, so a racing thread computing
   // the same cell writes the same bits.
+  OracleAnswer ans;
+  ans.key = key;
   MixOutcome m;
   if (cfg_.fabric_workers >= 1) {
     FabricConfig fab = cfg_.fabric;
@@ -364,20 +360,28 @@ OracleAnswer PayoffOracle::answer_miss(const OracleQuery& q,
   return ans;
 }
 
-// The tier-1 answer body, shared by every path that serves the memo.
-static OracleAnswer exact_answer_from_memo(const std::string& key,
-                                           const MixOutcome& m) {
+OracleAnswer PayoffOracle::answer_without_compute(const OracleQuery& q,
+                                                  const std::string& key) {
   OracleAnswer ans;
   ans.key = key;
-  ans.fidelity = OracleFidelity::kExact;
-  ans.outcome = m;
-  if (m.trials_completed == 0 && m.trials_failed > 0) {
-    ans.status = OracleStatus::kFailed;
-    ans.message = m.failures.empty() ? "cached cell has no completed trials"
-                                     : m.failures.front();
-  } else {
-    ans.status = OracleStatus::kOk;
+  if (cfg_.allow_model && model_applies(q)) {
+    const auto m = model_only_outcome(q.net, q.num_cubic, q.num_other);
+    if (m) {
+      ans.status = OracleStatus::kOk;
+      ans.fidelity = OracleFidelity::kModelOnly;
+      ans.outcome = *m;
+      ans.band_deviation = 0.0;  // the answer IS the model midpoint
+      const std::lock_guard<std::mutex> lk{mu_};
+      ++stats_.model_only;
+      return ans;
+    }
   }
+  ans.status = OracleStatus::kPending;
+  ans.message =
+      "cell not cached and --no-compute forbids scheduling it; drop "
+      "--no-compute (or run `bbrnash sweep`) to materialize the cell";
+  const std::lock_guard<std::mutex> lk{mu_};
+  ++stats_.pending;
   return ans;
 }
 
@@ -387,7 +391,19 @@ std::optional<OracleAnswer> PayoffOracle::cached_tiers_locked(
   const auto it = memo_.find(key);
   if (it != memo_.end()) {
     ++stats_.exact_hits;
-    return exact_answer_from_memo(key, it->second);
+    OracleAnswer ans;
+    ans.key = key;
+    ans.fidelity = OracleFidelity::kExact;
+    ans.outcome = it->second;
+    if (it->second.trials_completed == 0 && it->second.trials_failed > 0) {
+      ans.status = OracleStatus::kFailed;
+      ans.message = it->second.failures.empty()
+                        ? "cached cell has no completed trials"
+                        : it->second.failures.front();
+    } else {
+      ans.status = OracleStatus::kOk;
+    }
+    return ans;
   }
 
   // Tier 2: bounded multilinear interpolation + closed-form cross-check.
@@ -435,72 +451,6 @@ OracleAnswer PayoffOracle::query(const OracleQuery& q) {
   }
   // Tier 3 (outside the lock: it may run the simulator for a while).
   return answer_miss(q, key);
-}
-
-std::optional<OracleAnswer> PayoffOracle::query_cached(const OracleQuery& q) {
-  const std::string key = oracle_key(q);
-  const std::lock_guard<std::mutex> lk{mu_};
-  const auto cached = cached_tiers_locked(q, key);
-  // A miss does not count as a query here: the caller is still deciding
-  // what the miss becomes (compute / shed / pending), and that path will
-  // do its own accounting.
-  if (cached) ++stats_.queries;
-  return cached;
-}
-
-OracleAnswer PayoffOracle::query_compute(const OracleQuery& q) {
-  const std::string key = oracle_key(q);
-  {
-    const std::lock_guard<std::mutex> lk{mu_};
-    ++stats_.queries;
-    // A racing request may have landed the cell while this one sat in a
-    // compute queue; serve the memo rather than re-running the simulator.
-    // (Interpolation is deliberately NOT consulted here: the caller queued
-    // this query because it wants the empirical cell.)
-    const auto it = memo_.find(key);
-    if (it != memo_.end()) {
-      ++stats_.exact_hits;
-      return exact_answer_from_memo(key, it->second);
-    }
-  }
-  return answer_miss(q, key);
-}
-
-OracleAnswer PayoffOracle::answer_without_compute(const OracleQuery& q,
-                                                 const std::string& reason) {
-  OracleAnswer ans;
-  ans.key = oracle_key(q);
-  if (cfg_.allow_model && model_applies(q)) {
-    const auto m = model_only_outcome(q.net, q.num_cubic, q.num_other,
-                                      to_sec(q.trial.duration));
-    if (m) {
-      ans.status = OracleStatus::kOk;
-      ans.fidelity = OracleFidelity::kModelOnly;
-      ans.outcome = *m;
-      ans.band_deviation = 0.0;  // the answer IS the model midpoint
-      const std::lock_guard<std::mutex> lk{mu_};
-      ++stats_.model_only;
-      return ans;
-    }
-  }
-  ans.status = OracleStatus::kPending;
-  ans.reason = reason;
-  if (reason == "shed") {
-    ans.message =
-        "cell not cached and the daemon shed the request under queue "
-        "pressure; retry to re-enter the compute queue";
-  } else if (reason == "timeout") {
-    ans.message =
-        "compute exceeded the request deadline; the cell is still being "
-        "materialized — retry to pick up the cached answer";
-  } else {
-    ans.message =
-        "cell not cached and --no-compute forbids scheduling it; drop "
-        "--no-compute (or run `bbrnash sweep`) to materialize the cell";
-  }
-  const std::lock_guard<std::mutex> lk{mu_};
-  ++stats_.pending;
-  return ans;
 }
 
 std::vector<OracleAnswer> PayoffOracle::query_batch(

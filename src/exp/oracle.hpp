@@ -122,11 +122,6 @@ struct [[nodiscard]] OracleAnswer {
   /// Mishra/Ware envelope (0 = inside), or -1 when the models do not apply
   /// to this cell (non-BBR challenger, impaired path, B < 1 BDP).
   double band_deviation = -1.0;
-  /// WHY a kPending answer has no numbers: "no-compute" (the config forbids
-  /// running the simulator), "shed" (the serve daemon dropped the request
-  /// under queue pressure), or "timeout" (the request's deadline expired
-  /// before the compute finished). Empty for kOk/kFailed.
-  std::string reason;
   std::string message;      ///< non-empty for kPending/kFailed
 
   [[nodiscard]] bool ok() const noexcept {
@@ -180,28 +175,6 @@ class PayoffOracle {
   /// Answers one query through the tier chain. Thread-safe.
   [[nodiscard]] OracleAnswer query(const OracleQuery& q);
 
-  /// The CHEAP tiers only (exact memo / interpolation / nothing): returns
-  /// the answer when one is available without running the simulator,
-  /// nullopt on a genuine miss (which does not touch the stats counters —
-  /// the caller decides whether the miss becomes a compute, a shed, or a
-  /// pending answer). The serve daemon answers these inline on its poll
-  /// thread. Thread-safe.
-  [[nodiscard]] std::optional<OracleAnswer> query_cached(const OracleQuery& q);
-
-  /// The COMPUTE path for a known miss: re-checks the exact memo (a racing
-  /// request may have landed the cell while this one sat in a queue), then
-  /// runs tier 3. The serve daemon's compute workers call this off the
-  /// poll thread. Thread-safe.
-  [[nodiscard]] OracleAnswer query_compute(const OracleQuery& q);
-
-  /// The answer for a miss that must NOT compute: the closed-form
-  /// model-only tier when it applies, else kPending carrying `reason`
-  /// ("shed" / "no-compute" / "timeout") — numbers are never fabricated.
-  /// This is the serve daemon's load-shedding and deadline-downgrade
-  /// primitive. Thread-safe.
-  [[nodiscard]] OracleAnswer answer_without_compute(const OracleQuery& q,
-                                                   const std::string& reason);
-
   /// Answers a batch. Cheap tiers answer inline; the misses are grouped by
   /// shared (net, challenger, trial) and — with fabric_workers >= 1 — each
   /// group is scheduled as ONE fabric run, so a thousand-cell batch pays
@@ -238,6 +211,10 @@ class PayoffOracle {
       const OracleQuery& q, const MixKeyAxes& axes);
   [[nodiscard]] OracleAnswer answer_miss(const OracleQuery& q,
                                          const std::string& key);
+  /// A miss under no_compute: the closed-form model-only tier when it
+  /// applies, else kPending — numbers are never fabricated.
+  [[nodiscard]] OracleAnswer answer_without_compute(const OracleQuery& q,
+                                                    const std::string& key);
 
   OracleConfig cfg_;
   std::unique_ptr<CheckpointLog> log_;  ///< null when cache_path is empty
@@ -253,7 +230,6 @@ class PayoffOracle {
 /// validity domain. Exposed so the differential suite can pin the exact
 /// arithmetic the oracle serves.
 [[nodiscard]] std::optional<MixOutcome> model_only_outcome(
-    const NetworkParams& net, int num_cubic, int num_bbr,
-    double duration_sec);
+    const NetworkParams& net, int num_cubic, int num_bbr);
 
 }  // namespace bbrnash

@@ -2,9 +2,8 @@
 //
 // Every JSONL record stream and JSON report this codebase writes carries a
 // `bbrnash-<stream>-vN` tag so readers can reject records they do not
-// understand (the fabric skips foreign checkpoint lines, the serve daemon
-// rejects mismatched oracle snapshots, the bench baselines refuse to
-// compare across format bumps). Those tags used to be hand-duplicated
+// understand (the fabric skips foreign checkpoint lines, the bench
+// baselines refuse to compare across format bumps). Those tags used to be hand-duplicated
 // string literals in every writer — exactly the drift surface a
 // reproducibility claim cannot afford: a reader and writer disagreeing by
 // one character silently partitions the data instead of failing loudly.
@@ -39,16 +38,8 @@ inline constexpr std::string_view kSchemaFabric = "bbrnash-fabric-v1";
 inline constexpr std::string_view kSchemaFabricStats =
     "bbrnash-fabric-stats-v1";
 
-/// Payoff-oracle snapshot records (src/exp/oracle.cpp; also served and
-/// re-persisted by the daemon in src/exp/serve.cpp).
+/// Payoff-oracle snapshot records (src/exp/oracle.cpp).
 inline constexpr std::string_view kSchemaOracle = "bbrnash-oracle-v1";
-
-/// Serve-daemon request-journal records (src/exp/serve.cpp).
-inline constexpr std::string_view kSchemaServe = "bbrnash-serve-v1";
-
-/// Serve-daemon stats snapshot records (src/exp/serve.cpp).
-inline constexpr std::string_view kSchemaServeStats =
-    "bbrnash-serve-stats-v1";
 
 /// Simulator-core perf report (bench/bench_perf_simcore.cpp).
 inline constexpr std::string_view kSchemaSimcorePerf =

@@ -642,39 +642,11 @@ TEST(OracleNoCompute, NeverFabricatesNumbers) {
     const OracleAnswer a =
         oracle.query(make_oq(bdp_d(rng), n_d(rng), n_d(rng), quick_trial()));
     EXPECT_EQ(a.status, OracleStatus::kPending);
-    EXPECT_EQ(a.reason, "no-compute");  // pinned: the serve protocol
-                                        // forwards this tag verbatim
     EXPECT_FALSE(a.message.empty());
     expect_same_outcome(a.outcome, zero);  // all zeros: nothing invented
   }
   EXPECT_EQ(oracle.stats().pending, 200u);
   EXPECT_EQ(oracle.cache_size(), 0u);
-}
-
-// Pending answers carry a typed `reason` tag: "no-compute" (policy),
-// "shed" (daemon load shedding), "timeout" (deadline expiry). The tags are
-// pinned here because the serve wire protocol and its tests key off them.
-TEST(OracleNoCompute, PendingReasonsAreTypedAndNeverFabricate) {
-  OracleConfig cfg;
-  cfg.allow_model = false;
-  PayoffOracle oracle{cfg};
-  const MixOutcome zero;
-  const OracleQuery q = make_oq(7, 2, 2, quick_trial());
-  for (const char* reason : {"shed", "timeout"}) {
-    const OracleAnswer a = oracle.answer_without_compute(q, reason);
-    EXPECT_EQ(a.status, OracleStatus::kPending);
-    EXPECT_EQ(a.reason, reason);
-    EXPECT_FALSE(a.message.empty());
-    expect_same_outcome(a.outcome, zero);
-  }
-  // Where the model applies, a degraded answer upgrades to model-only
-  // instead of pending — honestly tagged, never invented.
-  OracleConfig model_cfg;
-  PayoffOracle model_oracle{model_cfg};
-  const OracleAnswer m = model_oracle.answer_without_compute(q, "shed");
-  ASSERT_TRUE(m.ok());
-  EXPECT_EQ(m.fidelity, OracleFidelity::kModelOnly);
-  EXPECT_TRUE(m.reason.empty());
 }
 
 TEST(OracleNoCompute, ModelTierOnlyWhereTheModelApplies) {

@@ -118,14 +118,17 @@ TEST_P(WindowedFilterProperty, MatchesBruteForce) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, WindowedFilterProperty,
-    ::testing::Values(FilterSweepParam{FilterKind::kMax, 100, 1},
-                      FilterSweepParam{FilterKind::kMax, 37, 2},
-                      FilterSweepParam{FilterKind::kMin, 100, 3},
-                      FilterSweepParam{FilterKind::kMin, 5, 4},
-                      FilterSweepParam{FilterKind::kMax, 1000, 5},
-                      FilterSweepParam{FilterKind::kMin, 1, 6}));
+// The listed test names print each case's raw bytes, padding included.
+// Cases built as stack temporaries carried stack garbage in that padding,
+// so the names changed from build to build; cases in static storage have
+// zeroed padding and the names are stable.
+constexpr FilterSweepParam kFilterSweepCases[] = {
+    {FilterKind::kMax, 100, 1},  {FilterKind::kMax, 37, 2},
+    {FilterKind::kMin, 100, 3},  {FilterKind::kMin, 5, 4},
+    {FilterKind::kMax, 1000, 5}, {FilterKind::kMin, 1, 6}};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, WindowedFilterProperty,
+                         ::testing::ValuesIn(kFilterSweepCases));
 
 TEST(KernelMinmaxFilter, TracksRisingMax) {
   KernelMinmaxFilter<double> f{100, 0.0};

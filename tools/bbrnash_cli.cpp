@@ -25,22 +25,14 @@
 //                 [--batch FILE] [--no-compute] [--no-interpolate]
 //                 [--no-model] [--max-band-dev F] [--workers N]
 //                 [--lease-ms MS] [--max-worker-retries N] [--oracle-stats]
-//   bbrnash serve --socket PATH [--cache PATH] [--hydrate P1,P2,...]
-//                 [--deadline-ms MS] [--shed-limit N] [--compute-threads N]
-//                 [--write-stall-ms MS] [--no-compute] [--no-interpolate]
-//                 [--no-model] [--max-band-dev F] [--chaos SEED] [--smoke]
-//   bbrnash query --connect SOCKET [--batch FILE] [--retries N]
-//                 [--backoff-ms MS] [--jitter-seed N] [--timeout-ms MS]
-//                 [query knobs: --capacity --rtt --buffer-bdp --cubic
-//                  --other --challenger --trials --duration --warmup
-//                  --seed --jobs]
 //
 // `oracle` answers payoff queries through the three-tier cache front end
 // (exp/oracle.hpp): exact memo hit from --cache/--hydrate JSONL logs,
 // bounded interpolation between cached cells, else compute (in-process, or
 // on the fabric with --workers N) — or kPending under --no-compute. A
 // --batch FILE holds one query per line as `key=value` tokens (same names
-// as the flags, no leading --) overriding the command-line base query.
+// as the flags, no leading --) overriding the command-line base query;
+// `#` starts a comment, and a line with no tokens is skipped.
 // Exit codes mirror sweep: 0 every query answered, 1 hard error, 2 usage,
 // 3 some queries pending/failed.
 //
@@ -55,13 +47,6 @@
 // 1 hard error, 2 usage, 3 partial results (some cells failed after
 // retries), 130 interrupted by SIGINT/SIGTERM (resume with the same
 // --checkpoint).
-// `serve` runs the crash-tolerant oracle daemon (exp/serve.hpp) on a
-// Unix-domain socket until SIGTERM (graceful drain: finish in-flight,
-// flush the cache, remove the socket); `--smoke` instead self-hosts the
-// daemon on a thread, round-trips a client query, and exits. `query` is
-// the matching client: deterministic backoff retries, `--batch` with the
-// same token grammar as `oracle`, exit 0 all answered / 1 connection
-// failure / 2 usage / 3 some replies pending/failed.
 // Unknown flags are rejected with a non-zero exit so a typo'd knob can
 // never silently run the default experiment.
 #include <algorithm>
@@ -76,7 +61,6 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "exp/chaos.hpp"
@@ -87,7 +71,6 @@
 #include "exp/oracle.hpp"
 #include "exp/parallel.hpp"
 #include "exp/scenario_runner.hpp"
-#include "exp/serve.hpp"
 #include "model/mishra_model.hpp"
 #include "model/nash.hpp"
 #include "model/ware_model.hpp"
@@ -107,7 +90,6 @@ struct Args {
   bool no_interpolate = false;
   bool no_model = false;
   bool oracle_stats = false;
-  bool smoke = false;
 
   // All numeric lookups parse strictly: the whole token must be a finite
   // number of the right shape, or the command exits 2 via the
@@ -147,7 +129,7 @@ std::optional<CcKind> parse_cc(const std::string& name) {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: bbrnash <run|model|nash> --capacity MBPS --rtt MS "
+      "usage: bbrnash <run|model|nash|sweep|oracle> --capacity MBPS --rtt MS "
       "--buffer-bdp N [options]\n"
       "  run:   --flows cubic:4,bbr:2 [--duration S] [--warmup S] "
       "[--seed N] [--aqm droptail|red|codel] [--csv]\n"
@@ -179,18 +161,7 @@ int usage() {
       "         [--no-compute] [--no-interpolate] [--no-model]\n"
       "         [--max-band-dev F] [--workers N] [--lease-ms MS]\n"
       "         [--max-worker-retries N] [--oracle-stats]\n"
-      "         exit: 0 all answered, 1 error, 2 usage, 3 pending/failed\n"
-      "  serve: --socket PATH [--cache PATH] [--hydrate P1,P2,...]\n"
-      "         [--deadline-ms MS] [--shed-limit N] [--compute-threads N]\n"
-      "         [--write-stall-ms MS] [--no-compute] [--no-interpolate]\n"
-      "         [--no-model] [--max-band-dev F] [--chaos SEED] [--smoke]\n"
-      "         runs until SIGTERM/SIGINT (graceful drain); --smoke\n"
-      "         self-hosts a daemon thread, round-trips a query, exits\n"
-      "  query: --connect SOCKET [--batch FILE] [--retries N]\n"
-      "         [--backoff-ms MS] [--jitter-seed N] [--timeout-ms MS]\n"
-      "         [--cubic N --other N --capacity MBPS --rtt MS ...]\n"
-      "         exit: 0 all answered, 1 connect/disconnect, 2 usage,\n"
-      "         3 pending/failed replies\n");
+      "         exit: 0 all answered, 1 error, 2 usage, 3 pending/failed\n");
   return 2;
 }
 
@@ -220,23 +191,12 @@ const std::vector<std::string>& allowed_keys(const std::string& cmd) {
       "challenger", "trials", "duration", "warmup", "seed",
       "jobs",     "cache", "hydrate",    "batch",   "max-band-dev",
       "workers",  "lease-ms", "max-worker-retries"};
-  static const std::vector<std::string> serve_keys = {
-      "socket",        "cache",           "hydrate", "max-band-dev",
-      "deadline-ms",   "shed-limit",      "compute-threads",
-      "write-stall-ms", "chaos"};
-  static const std::vector<std::string> query_keys = {
-      "connect",  "batch",      "retries", "backoff-ms", "jitter-seed",
-      "timeout-ms", "capacity", "rtt",     "buffer-bdp", "cubic",
-      "other",    "challenger", "trials",  "duration",   "warmup",
-      "seed",     "jobs"};
   static const std::vector<std::string> none;
   if (cmd == "run") return run_keys;
   if (cmd == "model") return model_keys;
   if (cmd == "nash") return nash_keys;
   if (cmd == "sweep") return sweep_keys;
   if (cmd == "oracle") return oracle_keys;
-  if (cmd == "serve") return serve_keys;
-  if (cmd == "query") return query_keys;
   return none;
 }
 
@@ -692,11 +652,12 @@ int cmd_oracle(const Args& args) {
     std::size_t lineno = 0;
     while (std::getline(in, line)) {
       ++lineno;
-      if (line.empty() || line[0] == '#') continue;
       std::map<std::string, std::string> kv = args.kv;
       std::stringstream tokens{line};
       std::string tok;
-      while (tokens >> tok) {
+      bool any_token = false;
+      while (tokens >> tok && tok[0] != '#') {
+        any_token = true;
         const auto eq = tok.find('=');
         const std::string key = tok.substr(0, eq);
         if (eq == std::string::npos ||
@@ -707,7 +668,7 @@ int cmd_oracle(const Args& args) {
         }
         kv[key] = tok.substr(eq + 1);
       }
-      queries.push_back(build_oracle_query(kv));
+      if (any_token) queries.push_back(build_oracle_query(kv));
     }
     if (queries.empty()) {
       std::fprintf(stderr, "batch file '%s' holds no queries\n",
@@ -732,7 +693,7 @@ int cmd_oracle(const Args& args) {
     table.add_row(
         {std::to_string(i), std::to_string(q.num_cubic),
          std::to_string(q.num_other), format_double(q.net.buffer_in_bdp(), 1),
-         to_string(a.fidelity), to_string(a.status),
+         a.ok() ? to_string(a.fidelity) : "-", to_string(a.status),
          a.ok() ? format_double(a.outcome.per_flow_cubic_mbps, 3) : "-",
          a.ok() ? format_double(a.outcome.per_flow_other_mbps, 3) : "-",
          a.band_deviation < 0 ? "n/a" : format_double(a.band_deviation, 3)});
@@ -766,221 +727,6 @@ int cmd_oracle(const Args& args) {
   if (!cfg.cache_path.empty()) {
     std::printf("oracle cache: %zu cell(s) in %s\n", oracle.cache_size(),
                 cfg.cache_path.c_str());
-  }
-  return pending_or_failed > 0 ? 3 : 0;
-}
-
-ServeConfig build_serve_config(const Args& args) {
-  ServeConfig cfg;
-  cfg.socket_path = args.str("socket", "");
-  cfg.oracle.cache_path = args.str("cache", "");
-  cfg.oracle.allow_interpolation = !args.no_interpolate;
-  cfg.oracle.allow_model = !args.no_model;
-  cfg.oracle.no_compute = args.no_compute;
-  cfg.oracle.max_band_deviation =
-      args.num("max-band-dev", cfg.oracle.max_band_deviation);
-  {
-    std::stringstream paths{args.str("hydrate", "")};
-    std::string p;
-    while (std::getline(paths, p, ',')) {
-      if (!p.empty()) cfg.oracle.hydrate_paths.push_back(p);
-    }
-  }
-  cfg.request_deadline_ms =
-      args.num("deadline-ms", cfg.request_deadline_ms);
-  cfg.shed_queue_limit = static_cast<std::size_t>(args.integer(
-      "shed-limit", static_cast<int>(cfg.shed_queue_limit)));
-  cfg.compute_threads = args.integer("compute-threads", cfg.compute_threads);
-  cfg.write_stall_ms = args.num("write-stall-ms", cfg.write_stall_ms);
-  if (args.has("chaos")) {
-    cfg.chaos = std::make_shared<ChaosInjector>(args.u64("chaos", 0));
-  }
-  return cfg;
-}
-
-// --smoke: self-host a daemon thread, round-trip a tiny compute query plus
-// its exact re-read through a real socket client, and exit — the basis of
-// the `serve_smoke` ctest.
-int cmd_serve_smoke(ServeConfig cfg) {
-  if (cfg.socket_path.empty()) {
-    cfg.socket_path = "bbrnash-serve-smoke.sock";
-  }
-  OracleDaemon daemon{cfg};
-  std::thread host{[&daemon] { (void)daemon.run(); }};
-  for (int i = 0; i < 500 && !daemon.serving(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  int rc = 1;
-  if (!daemon.serving()) {
-    std::fprintf(stderr, "serve --smoke: daemon failed to start: %s\n",
-                 daemon.error().c_str());
-  } else {
-    ClientConfig cc;
-    cc.socket_path = cfg.socket_path;
-    OracleClient client{cc};
-    const std::string cell =
-        "capacity=20 rtt=20 buffer-bdp=2 cubic=1 other=1 trials=1 "
-        "duration=2 warmup=0.5 seed=1";
-    std::vector<ServeReply> replies;
-    const ClientStatus st = client.query_lines({cell, cell}, &replies);
-    if (st != ClientStatus::kOk) {
-      std::fprintf(stderr, "serve --smoke: client status %s\n",
-                   to_string(st));
-    } else if (replies[0].record.get_string("status") != "ok" ||
-               replies[1].raw != replies[0].raw) {
-      std::fprintf(stderr,
-                   "serve --smoke: bad replies (status '%s', identical=%d)\n",
-                   replies[0].record.get_string("status").c_str(),
-                   static_cast<int>(replies[1].raw == replies[0].raw));
-    } else {
-      std::printf("serve --smoke: ok — fidelity %s then %s, bit-identical "
-                  "re-read\n",
-                  replies[0].record.get_string("fidelity").c_str(),
-                  replies[1].record.get_string("fidelity").c_str());
-      rc = 0;
-    }
-  }
-  daemon.request_stop();
-  host.join();
-  const ServeStats s = daemon.stats();
-  std::printf(
-      "serve --smoke: %llu request(s), %llu inline, %llu computed, "
-      "%llu shed, %llu timeout(s), %llu incident(s)\n",
-      static_cast<unsigned long long>(s.requests),
-      static_cast<unsigned long long>(s.answered_inline),
-      static_cast<unsigned long long>(s.computed),
-      static_cast<unsigned long long>(s.shed),
-      static_cast<unsigned long long>(s.timeouts),
-      static_cast<unsigned long long>(s.incidents));
-  return rc;
-}
-
-int cmd_serve(const Args& args) {
-  ServeConfig cfg = build_serve_config(args);
-  if (args.smoke) return cmd_serve_smoke(std::move(cfg));
-  if (cfg.socket_path.empty()) {
-    std::fprintf(stderr, "serve requires --socket PATH\n");
-    return usage();
-  }
-  cfg.handle_signals = true;
-  OracleDaemon daemon{cfg};
-  std::printf("bbrnash serve: listening on %s (cache: %s)\n",
-              cfg.socket_path.c_str(),
-              cfg.oracle.cache_path.empty() ? "<in-memory>"
-                                            : cfg.oracle.cache_path.c_str());
-  const bool clean = daemon.run();
-  if (!clean) {
-    std::fprintf(stderr, "bbrnash serve: %s\n", daemon.error().c_str());
-    return 1;
-  }
-  const ServeStats s = daemon.stats();
-  std::printf(
-      "bbrnash serve: drained — %llu client(s), %llu request(s), %llu "
-      "inline, %llu computed, %llu shed, %llu timeout(s), %llu "
-      "incident(s)\n",
-      static_cast<unsigned long long>(s.clients_accepted),
-      static_cast<unsigned long long>(s.requests),
-      static_cast<unsigned long long>(s.answered_inline),
-      static_cast<unsigned long long>(s.computed),
-      static_cast<unsigned long long>(s.shed),
-      static_cast<unsigned long long>(s.timeouts),
-      static_cast<unsigned long long>(s.incidents));
-  return 0;
-}
-
-int cmd_query(const Args& args) {
-  ClientConfig cc;
-  cc.socket_path = args.str("connect", "");
-  if (cc.socket_path.empty()) {
-    std::fprintf(stderr, "query requires --connect SOCKET\n");
-    return usage();
-  }
-  cc.max_attempts = args.integer("retries", cc.max_attempts);
-  cc.backoff_base_ms = args.num("backoff-ms", cc.backoff_base_ms);
-  cc.jitter_seed = args.u64("jitter-seed", cc.jitter_seed);
-  cc.reply_timeout_ms = args.num("timeout-ms", cc.reply_timeout_ms);
-
-  // The query knobs on the command line form the base token map; each
-  // --batch line overlays its own tokens (the `oracle` grammar) on a copy.
-  std::map<std::string, std::string> base;
-  for (const std::string& key : serve_query_keys()) {
-    const auto it = args.kv.find(key);
-    if (it != args.kv.end()) base[key] = it->second;
-  }
-  const auto to_line = [](const std::map<std::string, std::string>& kv) {
-    std::string line;
-    for (const auto& [k, v] : kv) {
-      if (!line.empty()) line += ' ';
-      line += k + "=" + v;
-    }
-    return line.empty() ? "cubic=1 other=1" : line;
-  };
-  std::vector<std::string> lines;
-  if (args.has("batch")) {
-    std::ifstream in{args.str("batch", "")};
-    if (!in) {
-      std::fprintf(stderr, "cannot open batch file '%s'\n",
-                   args.str("batch", "").c_str());
-      return 1;
-    }
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(in, line)) {
-      ++lineno;
-      if (line.empty() || line[0] == '#') continue;
-      std::map<std::string, std::string> kv = base;
-      try {
-        for (const auto& [k, v] : parse_query_tokens(line)) kv[k] = v;
-        (void)oracle_query_from_tokens(kv);  // validate before sending
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s:%zu: %s\n", args.str("batch", "").c_str(),
-                     lineno, e.what());
-        return 2;
-      }
-      lines.push_back(to_line(kv));
-    }
-    if (lines.empty()) {
-      std::fprintf(stderr, "batch file '%s' holds no queries\n",
-                   args.str("batch", "").c_str());
-      return 2;
-    }
-  } else {
-    (void)oracle_query_from_tokens(base);  // may throw -> usage via main
-    lines.push_back(to_line(base));
-  }
-
-  OracleClient client{cc};
-  std::vector<ServeReply> replies;
-  const ClientStatus st = client.query_lines(lines, &replies);
-  if (st != ClientStatus::kOk) {
-    std::fprintf(stderr, "bbrnash query: %s (after %d reconnect(s))\n",
-                 to_string(st), client.reconnects());
-    return 1;
-  }
-
-  Table table({"q", "fidelity", "status", "reason", "cubic_mbps",
-               "other_mbps", "band_dev"});
-  int pending_or_failed = 0;
-  for (std::size_t i = 0; i < replies.size(); ++i) {
-    const JsonlRecord& r = replies[i].record;
-    const bool is_ok = r.get_string("status") == "ok";
-    if (!is_ok) ++pending_or_failed;
-    table.add_row(
-        {std::to_string(i), r.get_string("fidelity", "-"),
-         r.get_string("status", "-"), r.get_string("reason", "-"),
-         is_ok ? format_double(r.get_double("per_flow_cubic_mbps"), 3) : "-",
-         is_ok ? format_double(r.get_double("per_flow_other_mbps"), 3) : "-",
-         r.has("band_dev") ? format_double(r.get_double("band_dev"), 3)
-                           : "n/a"});
-  }
-  table.print_aligned(std::cout);
-  for (std::size_t i = 0; i < replies.size(); ++i) {
-    const std::string msg = replies[i].record.get_string("message");
-    if (!msg.empty()) std::fprintf(stderr, "query %zu: %s\n", i, msg.c_str());
-  }
-  if (client.reconnects() > 0) {
-    std::fprintf(stderr, "bbrnash query: recovered over %d reconnect(s)\n",
-                 client.reconnects());
   }
   return pending_or_failed > 0 ? 3 : 0;
 }
@@ -1032,20 +778,11 @@ int main(int argc, char** argv) {
       args.fabric_stats = true;
       continue;
     }
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      if (cmd != "serve") {
-        std::fprintf(stderr, "unknown flag '--smoke' for '%s'\n", cmd.c_str());
-        return usage();
-      }
-      args.smoke = true;
-      continue;
-    }
     if (std::strcmp(argv[i], "--no-compute") == 0 ||
         std::strcmp(argv[i], "--no-interpolate") == 0 ||
         std::strcmp(argv[i], "--no-model") == 0 ||
         std::strcmp(argv[i], "--oracle-stats") == 0) {
-      const bool oracle_only = std::strcmp(argv[i], "--oracle-stats") == 0;
-      if (cmd != "oracle" && (oracle_only || cmd != "serve")) {
+      if (cmd != "oracle") {
         std::fprintf(stderr, "unknown flag '%s' for '%s'\n", argv[i],
                      cmd.c_str());
         return usage();
@@ -1081,8 +818,6 @@ int main(int argc, char** argv) {
     if (cmd == "nash") return cmd_nash(args);
     if (cmd == "sweep") return cmd_sweep(args);
     if (cmd == "oracle") return cmd_oracle(args);
-    if (cmd == "serve") return cmd_serve(args);
-    if (cmd == "query") return cmd_query(args);
   } catch (const std::invalid_argument& e) {
     // A malformed flag value is user error, not a crash: diagnose, show
     // the usage text, and exit 2 like every other bad-flag path.

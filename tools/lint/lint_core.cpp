@@ -810,12 +810,11 @@ void rule_float(const FileContext& ctx) {
 }
 
 void rule_process_control(const FileContext& ctx) {
-  // Forking, signalling, reaping or replacing processes — and, since the
-  // serve daemon landed, raw socket/signal-disposition/unlink syscalls —
-  // make results depend on OS scheduling and host process state. The
-  // sweep fabric (src/exp/fabric.cpp) and the socket wrapper
-  // (src/util/ipc.cpp) concentrate every such call into annotated shims;
-  // anywhere else the call needs its own justifying annotation.
+  // Forking, signalling, reaping or replacing processes — and raw
+  // socket/signal-disposition/unlink syscalls — make results depend on OS
+  // scheduling and host process state. The sweep fabric
+  // (src/exp/fabric.cpp) concentrates every such call into annotated
+  // shims; anywhere else the call needs its own justifying annotation.
   static const std::string_view kCalls[] = {
       "fork",   "vfork",  "waitpid",   "wait",   "kill",   "raise",
       "system", "popen",  "_exit",     "_Exit",  "execv",  "execve",
@@ -829,8 +828,8 @@ void rule_process_control(const FileContext& ctx) {
         ctx.add("process-control", static_cast<int>(i + 1),
                 std::string{fn} +
                     "(): process/socket/signal control outside the "
-                    "annotated shims; route through src/exp/fabric.cpp or "
-                    "src/util/ipc.cpp, or justify with an allow annotation");
+                    "annotated shims; route through src/exp/fabric.cpp, or "
+                    "justify with an allow annotation");
       });
     }
   }
