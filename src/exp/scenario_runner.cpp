@@ -160,6 +160,62 @@ struct Delivery {
   TimeNs sojourn;
 };
 
+// The dumbbell's per-packet hops, wired by direct calls so the chain
+//   link -> forward path -> receiver -> [ACK impairment] -> reverse path
+//   -> sender
+// inlines end to end (see net/sink.hpp). Each hop is a few pointers.
+
+/// Reverse-path exit: the ACK reaches its sender.
+struct AckArrival {
+  Sender* sender = nullptr;
+  void operator()(const Ack& ack) const { sender->on_ack(ack); }
+};
+using ReversePath = DelayLine<Ack, AckArrival>;
+
+/// Receiver exit: the ACK enters the reverse path, through the flow's ACK
+/// impairment stage when it has one.
+struct AckDeparture {
+  ImpairmentStage<Ack>* stage = nullptr;
+  ReversePath* rev = nullptr;
+  void operator()(const Ack& ack) const {
+    if (stage != nullptr) {
+      stage->send(ack);
+    } else {
+      rev->send(ack);
+    }
+  }
+};
+using FlowReceiver = BasicReceiver<AckDeparture>;
+
+/// Forward-path exit: the packet reaches its receiver, noted by the flight
+/// recorder when one is attached.
+struct PacketArrival {
+  FlowReceiver* receiver = nullptr;
+  FlightRecorder* recorder = nullptr;
+  const Simulator* sim = nullptr;
+  void operator()(const Delivery& d) const {
+    if (recorder != nullptr) {
+      recorder->note(sim->now(), FlightEventKind::kDeliver, d.pkt.flow,
+                     d.pkt.seq);
+    }
+    receiver->on_packet(d.pkt, d.sojourn);
+  }
+};
+using ForwardPath = DelayLine<Delivery, PacketArrival>;
+
+/// Bottleneck exit: the served packet enters its flow's forward path with
+/// its queue sojourn.
+struct LinkExit {
+  const Simulator* sim = nullptr;
+  const std::unique_ptr<ForwardPath>* fwd = nullptr;  ///< indexed by flow
+  void operator()(const Packet& pkt) const {
+    const TimeNs sojourn =
+        pkt.enqueued_at == kTimeNone ? 0 : sim->now() - pkt.enqueued_at;
+    fwd[pkt.flow]->send(Delivery{pkt, sojourn});
+  }
+};
+using Link = BasicBottleneckLink<LinkExit>;
+
 /// Stateless seed mixer (SplitMix64 finalizer) for per-flow impairment
 /// streams. Deliberately NOT drawn from the scenario's root Rng: a pristine
 /// scenario must stay byte-identical to one where the impairment layer
@@ -249,7 +305,7 @@ ExecOutcome execute_scenario(const Scenario& scenario,
     }
   }
 
-  BottleneckLink link{sim, scenario.capacity, scenario.buffer_bytes, n};
+  Link link{sim, scenario.capacity, scenario.buffer_bytes, n};
   switch (scenario.aqm) {
     case AqmKind::kDropTail:
       break;
@@ -278,9 +334,9 @@ ExecOutcome execute_scenario(const Scenario& scenario,
   }
 
   std::vector<std::unique_ptr<Sender>> senders;
-  std::vector<std::unique_ptr<Receiver>> receivers;
-  std::vector<std::unique_ptr<DelayLine<Delivery>>> fwd_lines;
-  std::vector<std::unique_ptr<DelayLine<Ack>>> rev_lines;
+  std::vector<std::unique_ptr<FlowReceiver>> receivers;
+  std::vector<std::unique_ptr<ForwardPath>> fwd_lines;
+  std::vector<std::unique_ptr<ReversePath>> rev_lines;
   senders.reserve(n);
   receivers.reserve(n);
   fwd_lines.reserve(n);
@@ -326,10 +382,10 @@ ExecOutcome execute_scenario(const Scenario& scenario,
     const FlowSpec& spec = scenario.flows[i];
     const TimeNs one_way = spec.base_rtt / 2;
 
-    receivers.push_back(std::make_unique<Receiver>(i));
-    fwd_lines.push_back(std::make_unique<DelayLine<Delivery>>(sim, one_way));
+    receivers.push_back(std::make_unique<FlowReceiver>(i));
+    fwd_lines.push_back(std::make_unique<ForwardPath>(sim, one_way));
     rev_lines.push_back(
-        std::make_unique<DelayLine<Ack>>(sim, spec.base_rtt - one_way));
+        std::make_unique<ReversePath>(sim, spec.base_rtt - one_way));
 
     CcConfig cc_cfg;
     cc_cfg.mss = scenario.mss;
@@ -394,37 +450,16 @@ ExecOutcome execute_scenario(const Scenario& scenario,
           }));
     }
 
-    // Bottleneck exit -> forward propagation -> receiver.
-    if (recorder != nullptr) {
-      fwd_lines[i]->set_sink([&receivers, &sim, recorder, i](const Delivery& d) {
-        recorder->note(sim.now(), FlightEventKind::kDeliver, i, d.pkt.seq);
-        receivers[i]->on_packet(d.pkt, d.sojourn);
-      });
-    } else {
-      fwd_lines[i]->set_sink([&receivers, i](const Delivery& d) {
-        receivers[i]->on_packet(d.pkt, d.sojourn);
-      });
-    }
-    // Receiver -> (ACK impairments) -> reverse propagation -> sender.
+    ReversePath* rev = rev_lines[i].get();
+    fwd_lines[i]->set_sink(PacketArrival{receivers[i].get(), recorder, &sim});
+    receivers[i]->set_ack_sink(AckDeparture{ack_stages[i].get(), rev});
     if (ack_stages[i] != nullptr) {
-      ack_stages[i]->set_sink(
-          [&rev_lines, i](const Ack& ack) { rev_lines[i]->send(ack); });
-      ImpairmentStage<Ack>* ack_stage = ack_stages[i].get();
-      receivers[i]->set_ack_sink(
-          [ack_stage](const Ack& ack) { ack_stage->send(ack); });
-    } else {
-      receivers[i]->set_ack_sink(
-          [&rev_lines, i](const Ack& ack) { rev_lines[i]->send(ack); });
+      ack_stages[i]->set_sink([rev](const Ack& ack) { rev->send(ack); });
     }
-    rev_lines[i]->set_sink(
-        [&senders, i](const Ack& ack) { senders[i]->on_ack(ack); });
+    rev->set_sink(AckArrival{senders[i].get()});
   }
 
-  link.set_sink([&sim, &fwd_lines](const Packet& pkt) {
-    const TimeNs sojourn =
-        pkt.enqueued_at == kTimeNone ? 0 : sim.now() - pkt.enqueued_at;
-    fwd_lines[pkt.flow]->send(Delivery{pkt, sojourn});
-  });
+  link.set_sink(LinkExit{&sim, fwd_lines.data()});
   if (recorder != nullptr) {
     link.set_drop_hook([&sim, recorder](const Packet& pkt) {
       recorder->note(sim.now(), FlightEventKind::kQueueDrop, pkt.flow,

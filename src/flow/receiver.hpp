@@ -12,21 +12,27 @@
 // hole fills are O(gap) flag flips with no per-packet allocation — the set
 // allocated a node per buffered packet, which was one of the last
 // allocation sources on the impaired-path hot loop.
+//
+// `AckSinkT` receives each ACK (see net/sink.hpp); Receiver is the
+// std::function-sink instantiation.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 
 #include "net/packet.hpp"
+#include "net/sink.hpp"
 #include "util/ring_deque.hpp"
 
 namespace bbrnash {
 
-class Receiver {
+template <typename AckSinkT = std::function<void(const Ack&)>>
+class BasicReceiver {
  public:
-  using AckSink = std::function<void(const Ack&)>;
+  using AckSink = AckSinkT;
 
-  explicit Receiver(FlowId flow) : flow_(flow) {}
+  explicit BasicReceiver(FlowId flow) : flow_(flow) {}
 
   void set_ack_sink(AckSink sink) { ack_sink_ = std::move(sink); }
 
@@ -57,9 +63,7 @@ class Receiver {
     // seq < cum_next_: duplicate (spurious retransmit); still ACK it so the
     // sender's bookkeeping converges.
     ++packets_received_;
-    if (ack_sink_) {
-      ack_sink_(Ack{flow_, pkt.seq, cum_next_, queue_delay});
-    }
+    call_sink(ack_sink_, Ack{flow_, pkt.seq, cum_next_, queue_delay});
   }
 
   [[nodiscard]] SeqNo cumulative_next() const noexcept { return cum_next_; }
@@ -80,5 +84,7 @@ class Receiver {
   std::size_t ooo_count_ = 0;
   std::uint64_t packets_received_ = 0;
 };
+
+using Receiver = BasicReceiver<>;
 
 }  // namespace bbrnash

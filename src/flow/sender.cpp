@@ -71,8 +71,11 @@ void Sender::maybe_send() {
   TimeNs pkt_time = 0;
   TimeNs burst_ahead = 0;
   if (paced) {
-    const Bytes wire = cfg_.mss + cfg_.header_bytes;
-    pkt_time = serialization_time(wire, rate);
+    if (rate != pace_rate_) {
+      pace_rate_ = rate;
+      pace_pkt_time_ = serialization_time(cfg_.mss + cfg_.header_bytes, rate);
+    }
+    pkt_time = pace_pkt_time_;
     const int quantum = std::max(
         1,
         std::min(cfg_.pacing_quantum_segments, cc_.pacing_burst_segments()));

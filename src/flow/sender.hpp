@@ -17,6 +17,7 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 
 #include "cc/cc_variant.hpp"
@@ -243,6 +244,11 @@ class Sender {
   // Pacing.
   TimeNs next_send_allowed_ = 0;
   bool pacing_timer_armed_ = false;
+  /// One segment's serialization time at pacing rate pace_rate_ (the
+  /// division is redone only when the CC changes its pacing rate; NaN
+  /// matches no rate).
+  BytesPerSec pace_rate_ = std::numeric_limits<double>::quiet_NaN();
+  TimeNs pace_pkt_time_ = 0;
 
   bool started_ = false;
   TimeNs completed_at_ = kTimeNone;

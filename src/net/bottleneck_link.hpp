@@ -5,6 +5,14 @@
 // handed to the sink when its last byte has been serialized. Propagation
 // delay to the receiver is the next hop's concern (see DelayLine), so this
 // class models exactly the paper's bottleneck: capacity C plus buffer B.
+//
+// Service completions ride the simulator's fixed-delay lane for the head
+// packet's serialization time. The lane (and that time) is looked up only
+// when the wire size or the rate differs from the previous service, so
+// rate schedules simply move later services to another lane.
+//
+// `Sink` receives each served packet (see net/sink.hpp); BottleneckLink is
+// the std::function-sink instantiation.
 #pragma once
 
 #include <functional>
@@ -14,22 +22,24 @@
 #include "net/aqm.hpp"
 #include "net/drop_tail_queue.hpp"
 #include "net/packet.hpp"
+#include "net/sink.hpp"
 #include "sim/simulator.hpp"
 
 namespace bbrnash {
 
-class BottleneckLink {
+template <typename SinkT = std::function<void(const Packet&)>>
+class BasicBottleneckLink {
  public:
-  using Sink = std::function<void(const Packet&)>;
+  using Sink = SinkT;
   /// Invoked when a packet is dropped at the tail (for loss diagnostics).
   using DropHook = std::function<void(const Packet&)>;
 
-  BottleneckLink(Simulator& sim, BytesPerSec rate, Bytes buffer_capacity,
-                 std::uint32_t num_flows)
+  BasicBottleneckLink(Simulator& sim, BytesPerSec rate, Bytes buffer_capacity,
+                      std::uint32_t num_flows)
       : sim_(sim), rate_(rate), queue_(buffer_capacity, num_flows) {}
 
-  BottleneckLink(const BottleneckLink&) = delete;
-  BottleneckLink& operator=(const BottleneckLink&) = delete;
+  BasicBottleneckLink(const BasicBottleneckLink&) = delete;
+  BasicBottleneckLink& operator=(const BasicBottleneckLink&) = delete;
 
   void set_sink(Sink sink) { sink_ = std::move(sink); }
   void set_drop_hook(DropHook hook) { drop_hook_ = std::move(hook); }
@@ -94,15 +104,20 @@ class BottleneckLink {
     // include the in-service packet, matching how a NIC ring + tc qdisc
     // accounts buffer occupancy.
     const Packet& head = peek_head();
-    const TimeNs tx = serialization_time(head.wire_bytes, rate_);
-    busy_time_ += tx;
-    sim_.schedule_in(tx, [this] { complete_service(); });
+    if (head.wire_bytes != lane_wire_ || rate_ != lane_rate_) {
+      lane_wire_ = head.wire_bytes;
+      lane_rate_ = rate_;
+      lane_tx_ = serialization_time(lane_wire_, lane_rate_);
+      lane_ = sim_.lane(lane_tx_);
+    }
+    busy_time_ += lane_tx_;
+    sim_.schedule_lane(lane_, [this] { complete_service(); });
   }
 
   void complete_service() {
     Packet pkt = queue_.dequeue(sim_.now());
     bytes_served_ += pkt.wire_bytes;
-    if (sink_) sink_(pkt);
+    call_sink(sink_, pkt);
     if (!queue_.empty()) {
       start_service();
     } else {
@@ -121,6 +136,14 @@ class BottleneckLink {
   bool busy_ = false;
   Bytes bytes_served_ = 0;
   TimeNs busy_time_ = 0;
+  // The last service's (wire size, rate) and what they imply; a negative
+  // rate never matches, so the first service looks its lane up.
+  Bytes lane_wire_ = 0;
+  BytesPerSec lane_rate_ = -1.0;
+  TimeNs lane_tx_ = 0;
+  LaneId lane_ = 0;
 };
+
+using BottleneckLink = BasicBottleneckLink<>;
 
 }  // namespace bbrnash

@@ -28,6 +28,21 @@
 //     inserted into the scratch's pending region at their sorted
 //     position, which preserves the exact heap ordering semantics:
 //     among pending events the fire order is always (when, sequence).
+//   * Fixed-delay FIFO lanes carry the per-packet hops whose delay is a
+//     constant of the hop (propagation on a DelayLine, serialization on
+//     the bottleneck). lane(delay) returns the lane shared by every user
+//     with that delay; schedule_lane() appends (now + delay, sequence,
+//     callable) to the lane's ring, constructing the callable in place in
+//     the ring entry's slot. Every push happens at the current clock,
+//     which never decreases, so each ring is already sorted by (when,
+//     sequence) and needs no wheel, chain, or sort at all. A small
+//     binary heap over the non-empty lanes (keyed by each lane's head)
+//     merges them, and the run loop fires whichever head is earlier by
+//     (when, sequence): the wheel's or the lane heap's. Sequences come from
+//     the one counter schedule() uses, so the fire order is exactly that
+//     of a single queue holding every event. The wheel cursor is loaded
+//     only up to the lane head's bucket, so it never runs ahead of the
+//     clock by more than a bucket while lanes are busy.
 //
 // Dispatch runs the callable in place: payload slots live in fixed-size
 // chunks that never move once allocated, so run_one() fires the event
@@ -46,14 +61,22 @@
 // the heap (cold paths only: test lambdas, callables routed through
 // std::function).
 //
+// Lane events fire in place from their ring the same way, and their entry
+// is released only after the callable returns. A lane's ring is a circle
+// of fixed-size segments: a full ring splices in one more segment, so
+// entries never move (a running callable's captures stay put however many
+// events it pushes) and growth leaves no freed copies behind; once the
+// circle reaches the lane's high-water mark it is reused forever.
+//
 // Cancellation is lazy: cancelled entries stay where they are (scratch,
 // chain, or heap) and are skipped when they reach the scratch front. Only
 // events scheduled via schedule_cancellable() pay the hash-set
 // bookkeeping; the hot path (packet arrivals/departures, which are never
-// cancelled) stays allocation-free. Cancellation is keyed on the globally
-// unique schedule sequence, never the pool slot, so a stale EventId whose
-// slot has been recycled to a new event can never kill the new event, and
-// double-cancel is a counted no-op. size() reports only live entries
+// cancelled) stays allocation-free, and lane events cannot be cancelled at
+// all. Cancellation is keyed on the globally unique schedule sequence,
+// never the pool slot, so a stale EventId whose slot has been recycled to
+// a new event can never kill the new event, and double-cancel is a
+// counted no-op. size() reports only live entries
 // (watchdog diagnostics must not overreport); raw_size() includes the
 // lazily-cancelled dead entries still occupying pool slots.
 #pragma once
@@ -76,10 +99,14 @@
 namespace bbrnash {
 
 using EventId = std::uint64_t;
+/// Handle of a fixed-delay FIFO lane (see EventQueue::lane).
+using LaneId = std::uint32_t;
 
-/// Inline storage per event payload. Sized for the largest hot-path
-/// callable: a delayed delivery capturing a DelayLine pointer plus a
-/// Packet-with-sojourn payload (8 + 56 bytes).
+/// Inline storage per event payload, in pool slots and lane entries
+/// alike. Sized for the largest hot-path callables: a forward-path
+/// DelayLine delivery (the line's pointer plus a Packet-with-sojourn,
+/// 8 + 56 bytes) and an access-path arrival (the entry hop's pointers plus
+/// a Packet).
 inline constexpr std::size_t kEventInlineBytes = 64;
 
 class EventQueue {
@@ -115,6 +142,43 @@ class EventQueue {
   };
   static_assert(std::is_trivially_copyable_v<Slot>);
 
+  /// One lane ring entry: the ordering key plus the payload, in the pool
+  /// slot's layout so fill() constructs the callable straight into it.
+  struct LaneEntry {
+    TimeNs when;
+    std::uint64_t meta;  ///< sequence << kSeqShift (slot bits unused)
+    Slot slot;
+  };
+  static_assert(std::is_trivially_copyable_v<LaneEntry>);
+
+  /// One segment of a lane's ring; segments link into a circle.
+  static constexpr std::uint32_t kSegmentEntries = 64;
+  struct Segment {
+    LaneEntry entries[kSegmentEntries];
+    Segment* next;
+  };
+
+  /// A fixed-delay lane: live entries run from (head, head_at) forward
+  /// around the segment circle to (tail, tail_at), sorted by construction.
+  struct Lane {
+    TimeNs delay = 0;
+    Segment* head = nullptr;  ///< null until the first push
+    Segment* tail = nullptr;
+    std::uint32_t head_at = 0;
+    /// Next write index in tail; kSegmentEntries (also the state before the
+    /// first push) moves the tail on to the next segment first.
+    std::uint32_t tail_at = kSegmentEntries;
+    std::uint32_t count = 0;
+    [[nodiscard]] LaneEntry& front() const { return head->entries[head_at]; }
+  };
+
+  /// Lane-heap element: a non-empty lane keyed by its head entry.
+  struct LaneKey {
+    TimeNs when;
+    std::uint64_t meta;
+    LaneId lane;
+  };
+
   /// Releases a dispatched slot's boxed callable at scope exit, so the box
   /// is freed even when the callable throws (a throwing event — e.g. an
   /// injected chaos fault — unwinds through the run loop after its key
@@ -139,6 +203,18 @@ class EventQueue {
     }
   };
 
+  /// The lane counterpart: the fired entry leaves its ring only after the
+  /// callable returns.
+  struct LaneDispatchGuard {
+    EventQueue& q;
+    LaneId id;
+    ~LaneDispatchGuard() {
+      Slot& s = q.lanes_[id].front().slot;
+      if (s.cleanup != nullptr) s.cleanup(s.storage);
+      q.pop_lane_front(id);
+    }
+  };
+
  public:
   EventQueue() {
     heads_.assign(kWheelSize, kNil);
@@ -158,6 +234,18 @@ class EventQueue {
       }
     }
     for (std::size_t i = 0; i < heap_n_; ++i) release_boxed(root_[i]);
+    for (Lane& l : lanes_) {
+      Segment* seg = l.head;
+      std::uint32_t at = l.head_at;
+      for (std::uint32_t i = 0; i < l.count; ++i) {
+        if (at == kSegmentEntries) {
+          seg = seg->next;
+          at = 0;
+        }
+        Slot& s = seg->entries[at++].slot;
+        if (s.cleanup != nullptr) s.cleanup(s.storage);
+      }
+    }
     ::operator delete(base_, std::align_val_t{kLineBytes});
   }
 
@@ -187,14 +275,45 @@ class EventQueue {
     if (pending_.erase(id) != 0) ++dead_;
   }
 
-  [[nodiscard]] bool empty() { return !ensure_next(); }
+  /// The lane shared by every user whose events fire exactly `delay` after
+  /// they are scheduled. Lanes live as long as the queue; lookups are a
+  /// short linear scan, so callers keep the id rather than look it up per
+  /// event.
+  [[nodiscard]] LaneId lane(TimeNs delay) {
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+      if (lanes_[i].delay == delay) return static_cast<LaneId>(i);
+    }
+    lanes_.emplace_back();
+    lanes_.back().delay = delay;
+    return static_cast<LaneId>(lanes_.size() - 1);
+  }
+
+  /// Schedules a non-cancellable event at `now` + the lane's delay. Pre:
+  /// `now` is not less than the `now` of any earlier push onto this lane
+  /// (true of a simulation clock), which keeps the ring sorted.
+  template <typename F>
+  void schedule_lane(LaneId id, TimeNs now, F&& fn) {
+    Lane& l = lanes_[id];
+    if (l.tail_at == kSegmentEntries) advance_tail(l);
+    LaneEntry& e = l.tail->entries[l.tail_at];
+    e.meta = make_meta(false);
+    e.when = now + l.delay;
+    fill(e.slot, std::forward<F>(fn));
+    ++l.tail_at;
+    if (l.count++ == 0) push_lane_key(LaneKey{e.when, e.meta, id});
+    ++lane_n_;
+  }
+
+  [[nodiscard]] bool empty() { return locate_next() == Next::kNone; }
 
   /// Number of LIVE events (excludes lazily-cancelled dead entries, so
-  /// watchdog diagnostics never overreport the backlog).
-  [[nodiscard]] std::size_t size() const { return n_ - dead_; }
+  /// watchdog diagnostics never overreport the backlog), lane events
+  /// included.
+  [[nodiscard]] std::size_t size() const { return n_ - dead_ + lane_n_; }
 
-  /// Number of pool slots currently occupied, dead entries included.
-  [[nodiscard]] std::size_t raw_size() const { return n_; }
+  /// Number of occupied pool slots and lane entries, dead entries
+  /// included.
+  [[nodiscard]] std::size_t raw_size() const { return n_ + lane_n_; }
 
   /// Pre-sizes the event pool to `n` slots so neither the payload chunks
   /// nor the bookkeeping arrays reallocate while the simulation grows
@@ -207,7 +326,15 @@ class EventQueue {
 
   /// Time of the next live event; kTimeInf when empty.
   [[nodiscard]] TimeNs next_time() {
-    return ensure_next() ? scratch_[drain_].when : kTimeInf;
+    switch (locate_next()) {
+      case Next::kWheel:
+        return scratch_[drain_].when;
+      case Next::kLane:
+        return lane_heap_[0].when;
+      case Next::kNone:
+        break;
+    }
+    return kTimeInf;
   }
 
   /// A popped event: fire it with fn() (at most once). If destroyed
@@ -247,16 +374,23 @@ class EventQueue {
 
   /// Pops and returns the next live event. Pre: !empty().
   [[nodiscard]] Popped pop() {
-    const bool has_next = ensure_next();
-    assert(has_next && "pop() on an empty queue");
-    (void)has_next;
+    const Next next = locate_next();
+    assert(next != Next::kNone && "pop() on an empty queue");
+    Popped out;
+    out.live_ = true;
+    if (next == Next::kLane) {
+      const LaneId id = lane_heap_[0].lane;
+      const LaneEntry& e = lanes_[id].front();
+      out.when = e.when;
+      out.slot_ = e.slot;  // the Popped now owns any boxed callable
+      pop_lane_front(id);
+      return out;
+    }
     const Key top = scratch_[drain_++];
     --n_;
     retire(top);
-    Popped out;
     out.when = top.when;
     out.slot_ = slot_ref(slot_of(top));  // copy out: callbacks may grow the pool
-    out.live_ = true;
     free_.push_back(slot_of(top));
     return out;
   }
@@ -265,11 +399,22 @@ class EventQueue {
   /// loop's one call per event. If the next live event is due at or before
   /// `deadline`, advances `clock` to its timestamp, fires it, and returns
   /// true; otherwise leaves the queue untouched and returns false. The
-  /// callable runs in place from its (address-stable) pooled chunk; its
-  /// slot is recycled only after it returns, so it may freely schedule new
+  /// callable runs in place from its pooled chunk or lane ring; its entry
+  /// is recycled only after it returns, so it may freely schedule new
   /// events.
   bool run_one(TimeNs deadline, TimeNs& clock) {
-    if (!ensure_next()) return false;
+    const Next next = locate_next();
+    if (next == Next::kNone) return false;
+    if (next == Next::kLane) {
+      const LaneKey& top = lane_heap_[0];
+      if (top.when > deadline) return false;
+      clock = top.when;
+      const LaneId id = top.lane;
+      LaneDispatchGuard guard{*this, id};
+      Slot& s = lanes_[id].front().slot;
+      s.invoke(s.storage);
+      return true;
+    }
     const Key top = scratch_[drain_];
     if (top.when > deadline) return false;
     ++drain_;
@@ -286,7 +431,7 @@ class EventQueue {
   template <typename Fn>
   static void invoke_inline(std::byte* storage) {
     // bbrnash-lint: allow(reinterpret-cast) -- pooled-storage payload:
-    // reads back the Fn placement-constructed into this slot by fill_slot;
+    // reads back the Fn placement-constructed into this slot by fill();
     // launder makes the round-trip through std::byte storage well-defined.
     (*std::launder(reinterpret_cast<Fn*>(storage)))();
   }
@@ -311,10 +456,15 @@ class EventQueue {
     // A sequence past 39 bits would make same-timestamp FIFO comparisons
     // wrap silently; no realistic run gets near 5e11 events, but fail
     // loudly rather than go nondeterministic.
-    if (next_seq_ >> (64 - kSeqShift) != 0) {
-      throw std::length_error{"event sequence space exhausted"};
+    if (next_seq_ >> (64 - kSeqShift) != 0) [[unlikely]] {
+      sequence_exhausted();
     }
     return (next_seq_++ << kSeqShift) | (cancellable ? 1u : 0u);
+  }
+
+  /// Out of line so make_meta() stays small enough to inline everywhere.
+  [[noreturn, gnu::cold, gnu::noinline]] static void sequence_exhausted() {
+    throw std::length_error{"event sequence space exhausted"};
   }
 
   // --- Payload pool (chunked; slots never move once allocated) ----------
@@ -331,15 +481,22 @@ class EventQueue {
     if (chunks_.size() * kChunkSlots > kSlotMask) {
       throw std::length_error{"event pool exhausted (16M live events)"};
     }
-    chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
-    nodes_.resize(chunks_.size() * kChunkSlots);
+    // Left uninitialized: every slot and node is written before it is
+    // read, so a page stays untouched (and out of the resident set) until
+    // the pool's high-water mark reaches it.
+    chunks_.push_back(std::make_unique_for_overwrite<Slot[]>(kChunkSlots));
+    auto nodes = std::make_unique_for_overwrite<Node[]>(chunks_.size() *
+                                                        kChunkSlots);
+    if (used_slots_ != 0) {
+      std::memcpy(nodes.get(), nodes_.get(), used_slots_ * sizeof(Node));
+    }
+    nodes_ = std::move(nodes);
   }
 
   /// Takes a slot from the free list (or grows the pool) and constructs
   /// the callable into it. Returns the slot index.
   template <typename F>
   std::uint32_t fill_slot(F&& fn) {
-    using Fn = std::decay_t<F>;
     std::uint32_t idx;
     if (!free_.empty()) {
       idx = free_.back();
@@ -348,7 +505,15 @@ class EventQueue {
       if (used_slots_ == chunks_.size() * kChunkSlots) add_chunk();
       idx = static_cast<std::uint32_t>(used_slots_++);
     }
-    Slot& s = slot_ref(idx);
+    fill(slot_ref(idx), std::forward<F>(fn));
+    return idx;
+  }
+
+  /// Constructs the callable into `s` (a pool slot or a lane entry's):
+  /// inline when it fits, else boxed on the heap.
+  template <typename F>
+  static void fill(Slot& s, F&& fn) {
+    using Fn = std::decay_t<F>;
     constexpr bool fits_inline =
         sizeof(Fn) <= kEventInlineBytes &&
         alignof(Fn) <= alignof(std::max_align_t) &&
@@ -363,7 +528,6 @@ class EventQueue {
       s.invoke = &invoke_boxed<Fn>;
       s.cleanup = &cleanup_boxed<Fn>;
     }
-    return idx;
   }
 
   /// Frees a key's boxed callable (if any) and recycles its pool slot.
@@ -400,6 +564,8 @@ class EventQueue {
   static constexpr std::uint64_t kWheelSize = std::uint64_t{1} << kWheelBits;
   static constexpr std::uint64_t kWheelMask = kWheelSize - 1;
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
+  static constexpr std::uint64_t kBucketUnknown = ~std::uint64_t{0};
+  static constexpr std::uint64_t kBucketNone = kBucketUnknown - 1;
 
   struct Node {
     TimeNs when;
@@ -451,6 +617,12 @@ class EventQueue {
     heads_[s] = idx;
     bitmap_[s >> 6] |= std::uint64_t{1} << (s & 63);
     ++wheel_count_;
+    note_bucket(bucket_of(key.when));
+  }
+
+  /// Keeps the memoized next-bucket target exact as events arrive.
+  void note_bucket(std::uint64_t b) {
+    if (next_bucket_ != kBucketUnknown && b < next_bucket_) next_bucket_ = b;
   }
 
   /// Smallest absolute bucket > wheel_pos_ with a non-empty chain.
@@ -480,24 +652,30 @@ class EventQueue {
   /// Moves the cursor to the earliest non-empty bucket, pulls that
   /// bucket's chain (plus any heap events that the advance brought inside
   /// the horizon) into scratch_, and sorts it. Pre: scratch_ is drained.
-  /// Returns false when no events remain anywhere.
-  bool advance_cursor() {
+  /// Returns false, leaving the cursor where it is, when no events remain
+  /// in the wheel or heap or the earliest bucket lies past `max_bucket`.
+  bool advance_cursor(std::uint64_t max_bucket) {
+    std::uint64_t target = next_bucket_;
+    if (target == kBucketUnknown) {
+      if (wheel_count_ != 0) {
+        target = next_occupied_bucket();
+        if (heap_n_ != 0) {
+          const std::uint64_t hb = bucket_of(root_[0].when);
+          if (hb < target) target = hb;
+        }
+      } else if (heap_n_ != 0) {
+        // Wheel empty: rebase the cursor straight to the heap top's bucket
+        // (this is how the cursor crosses long event-free gaps in O(1)).
+        target = bucket_of(root_[0].when);
+      } else {
+        target = kBucketNone;
+      }
+      next_bucket_ = target;
+    }
+    if (target == kBucketNone || target > max_bucket) return false;
+    next_bucket_ = kBucketUnknown;
     scratch_.clear();
     drain_ = 0;
-    std::uint64_t target;
-    if (wheel_count_ != 0) {
-      target = next_occupied_bucket();
-      if (heap_n_ != 0) {
-        const std::uint64_t hb = bucket_of(root_[0].when);
-        if (hb < target) target = hb;
-      }
-    } else if (heap_n_ != 0) {
-      // Wheel empty: rebase the cursor straight to the heap top's bucket
-      // (this is how the cursor crosses long event-free gaps in O(1)).
-      target = bucket_of(root_[0].when);
-    } else {
-      return false;
-    }
     wheel_pos_ = target;
     const auto s = static_cast<std::uint32_t>(target & kWheelMask);
     std::uint32_t node = heads_[s];
@@ -527,9 +705,10 @@ class EventQueue {
   }
 
   /// Advances past lazily-cancelled entries until scratch_[drain_] is the
-  /// earliest live event queue-wide (loading buckets as needed). Returns
-  /// false when no live events exist.
-  bool ensure_next() {
+  /// earliest live wheel-or-heap event (loading buckets up to `max_bucket`
+  /// as needed). Returns false when no live event exists there, or when
+  /// the earliest one lies in a bucket past `max_bucket`.
+  bool ensure_next(std::uint64_t max_bucket) {
     for (;;) {
       while (drain_ < scratch_.size()) {
         const Key k = scratch_[drain_];
@@ -542,8 +721,38 @@ class EventQueue {
         --dead_;
         release_slot(slot_of(k));
       }
-      if (!advance_cursor()) return false;
+      if (!advance_cursor(max_bucket)) return false;
     }
+  }
+
+  /// Where the next live event queue-wide lives.
+  enum class Next { kNone, kWheel, kLane };
+
+  /// Finds the next live event by (when, sequence): scratch_[drain_] for
+  /// kWheel, lane_heap_[0] for kLane. With lanes pending, the wheel is
+  /// loaded no further than the lane head's bucket: a later wheel bucket
+  /// cannot hold an earlier event.
+  Next locate_next() {
+    if (lane_heap_.empty()) {
+      return ensure_next(~std::uint64_t{0}) ? Next::kWheel : Next::kNone;
+    }
+    const LaneKey& lk = lane_heap_[0];
+    // Fast paths, no bucket loading: a live loaded wheel key to compare
+    // against, or a memoized wheel target past the lane head's bucket.
+    if (drain_ < scratch_.size()) {
+      const Key& k = scratch_[drain_];
+      if ((k.meta & 1) == 0) {
+        return before(k, Key{lk.when, lk.meta}) ? Next::kWheel : Next::kLane;
+      }
+    } else if (next_bucket_ != kBucketUnknown &&
+               next_bucket_ > bucket_of(lk.when)) {
+      return Next::kLane;
+    }
+    if (ensure_next(bucket_of(lk.when)) &&
+        before(scratch_[drain_], Key{lk.when, lk.meta})) {
+      return Next::kWheel;
+    }
+    return Next::kLane;
   }
 
   /// Post-pop bookkeeping for a cancellable key that fired live.
@@ -576,6 +785,7 @@ class EventQueue {
 
   void push_heap_key(const Key& key) {
     if (heap_n_ == key_cap_) grow_keys(heap_n_ + 1);
+    note_bucket(bucket_of(key.when));
     // Sift up with a hole: parents slide down until key's level is found.
     std::size_t i = heap_n_++;
     while (i > 0) {
@@ -611,6 +821,95 @@ class EventQueue {
     root_[i] = last;
   }
 
+  // --- Lanes --------------------------------------------------------------
+
+  [[nodiscard]] static bool lane_before(const LaneKey& a, const LaneKey& b) {
+    return before(Key{a.when, a.meta}, Key{b.when, b.meta});
+  }
+
+  /// Moves a lane's tail into the next segment of its circle, splicing in
+  /// a fresh segment when that one still holds the head's live entries
+  /// (or when the lane has no segment yet).
+  void advance_tail(Lane& l) {
+    Segment* next = l.tail == nullptr ? nullptr : l.tail->next;
+    if (next == nullptr || next == l.head) {
+      segments_.push_back(std::make_unique_for_overwrite<Segment>());
+      Segment* fresh = segments_.back().get();
+      if (l.tail == nullptr) {
+        fresh->next = fresh;
+        l.head = fresh;
+      } else {
+        fresh->next = next;
+        l.tail->next = fresh;
+      }
+      next = fresh;
+    }
+    l.tail = next;
+    l.tail_at = 0;
+  }
+
+  /// Heap-inserts a lane that just became non-empty.
+  void push_lane_key(const LaneKey& key) {
+    lane_heap_.push_back(key);
+    std::size_t i = lane_heap_.size() - 1;
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 2;
+      if (!lane_before(key, lane_heap_[parent])) break;
+      lane_heap_[i] = lane_heap_[parent];
+      i = parent;
+    }
+    lane_heap_[i] = key;
+  }
+
+  /// Drops lane `id`'s head entry (its callable already fired or moved
+  /// out) and re-keys the lane heap. Pre: `id` is the lane-heap top — no
+  /// push can overtake it, since every push is keyed at or after the clock
+  /// with a fresh, larger sequence.
+  void pop_lane_front(LaneId id) {
+    Lane& l = lanes_[id];
+    assert(!lane_heap_.empty() && lane_heap_[0].lane == id);
+    --lane_n_;
+    LaneKey key;
+    if (--l.count != 0) {
+      if (++l.head_at == kSegmentEntries) {
+        l.head = l.head->next;
+        l.head_at = 0;
+      }
+      const LaneEntry& h = l.front();
+      key = LaneKey{h.when, h.meta, id};
+      // The entry after the new head was written a whole delay ago and is
+      // long out of cache; start pulling it in now, one fire ahead.
+      const LaneEntry& after = l.head_at + 1 < kSegmentEntries
+                                   ? l.head->entries[l.head_at + 1]
+                                   : l.head->next->entries[0];
+      __builtin_prefetch(&after);
+      __builtin_prefetch(&after.slot.storage[kEventInlineBytes - 1]);
+    } else {
+      // Empty: restart at the head segment's first entry, so a lane that
+      // keeps draining (the link's, one packet in service) never walks.
+      l.tail = l.head;
+      l.head_at = 0;
+      l.tail_at = 0;
+      key = lane_heap_.back();
+      lane_heap_.pop_back();
+      if (lane_heap_.empty()) return;
+    }
+    // Sift the new key down from the root.
+    const std::size_t n = lane_heap_.size();
+    std::size_t i = 0;
+    for (;;) {
+      std::size_t best = 2 * i + 1;
+      if (best >= n) break;
+      if (best + 1 < n && lane_before(lane_heap_[best + 1], lane_heap_[best])) {
+        ++best;
+      }
+      if (!lane_before(lane_heap_[best], key)) break;
+      lane_heap_[i] = lane_heap_[best];
+      i = best;
+    }
+    lane_heap_[i] = key;
+  }
+
   // --- State --------------------------------------------------------------
 
   // Payload pool: fixed-size chunks (slots never move), LIFO free list.
@@ -619,11 +918,15 @@ class EventQueue {
   std::vector<std::uint32_t> free_;
 
   // Wheel: per-slot chain nodes, bucket heads, occupancy bitmap, cursor.
-  std::vector<Node> nodes_;            ///< parallel to the payload pool
+  std::unique_ptr<Node[]> nodes_;      ///< parallel to the payload pool
   std::vector<std::uint32_t> heads_;   ///< kWheelSize chain heads
   std::vector<std::uint64_t> bitmap_;  ///< kWheelSize occupancy bits
   std::uint64_t wheel_pos_ = 0;  ///< absolute bucket the cursor is parked on
   std::size_t wheel_count_ = 0;  ///< events currently threaded in chains
+  /// advance_cursor's target, memoized while the cursor waits behind the
+  /// lanes: the earliest bucket holding a chain or heap event, kBucketNone
+  /// when both are empty, kBucketUnknown when it must be recomputed.
+  std::uint64_t next_bucket_ = kBucketUnknown;
 
   // Loaded bucket: sorted, drained front to back.
   std::vector<Key> scratch_;
@@ -641,6 +944,12 @@ class EventQueue {
   std::unordered_set<EventId> pending_;
   std::size_t dead_ = 0;  ///< cancelled entries still occupying pool slots
   EventId next_seq_ = 1;
+
+  // Lanes: rings indexed by LaneId, a binary heap over the non-empty ones.
+  std::vector<Lane> lanes_;
+  std::vector<std::unique_ptr<Segment>> segments_;  ///< every lane's
+  std::vector<LaneKey> lane_heap_;
+  std::size_t lane_n_ = 0;  ///< events queued across all lanes
 };
 
 }  // namespace bbrnash

@@ -4,6 +4,14 @@
 //   Simulator sim;
 //   sim.schedule_in(from_ms(10), [&] { ... });
 //   sim.run_until(from_sec(120));
+//
+// Hops whose delay is a constant of the hop (a propagation delay, one
+// packet's serialization time) schedule onto a fixed-delay FIFO lane
+// instead of the timing wheel:
+//   const LaneId lane = sim.lane(from_ms(20));  // once, at wiring time
+//   sim.schedule_lane(lane, [&] { ... });       // fires at now() + 20 ms
+// Lane and wheel events share one (time, schedule order) total order, so
+// which path an event takes changes its cost, never when it fires.
 #pragma once
 
 #include <cassert>
@@ -34,6 +42,20 @@ class Simulator {
   void schedule_in(TimeNs delay, F&& fn) {
     assert(delay >= 0);
     queue_.schedule(now_ + delay, std::forward<F>(fn));
+  }
+
+  /// The fixed-delay FIFO lane shared by every user with this `delay`
+  /// (>= 0). Look it up once per delay, not per event.
+  [[nodiscard]] LaneId lane(TimeNs delay) {
+    assert(delay >= 0);
+    return queue_.lane(delay);
+  }
+
+  /// Schedules `fn` on `lane`, to fire its delay after now(). Same inline
+  /// payload rules as schedule_at.
+  template <typename F>
+  void schedule_lane(LaneId lane, F&& fn) {
+    queue_.schedule_lane(lane, now_, std::forward<F>(fn));
   }
 
   /// Cancellable variants, for timers (e.g., RTO) that are usually rearmed.
@@ -81,12 +103,12 @@ class Simulator {
   [[nodiscard]] std::uint64_t events_executed() const noexcept {
     return events_executed_;
   }
-  /// Live (non-cancelled) events still queued — what watchdog diagnostics
-  /// should report.
+  /// Live (non-cancelled) events still queued, lane events included —
+  /// what watchdog diagnostics should report.
   [[nodiscard]] std::size_t pending_events() const noexcept {
     return queue_.size();
   }
-  /// Occupied event-pool slots including lazily-cancelled dead entries.
+  /// Queued events including lazily-cancelled dead entries.
   [[nodiscard]] std::size_t pending_events_raw() const noexcept {
     return queue_.raw_size();
   }

@@ -1,6 +1,8 @@
 // Guarded-run hardening: watchdogs, typed outcomes, seed-bump retry, and
 // the determinism of impaired scenarios (the acceptance property for the
 // impairment layer: same scenario + same seed => byte-identical results).
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "exp/scenario_runner.hpp"
@@ -55,6 +57,22 @@ TEST(GuardedRun, CleanRunMatchesUnguardedExactly) {
   expect_identical(direct, guarded.result);
   EXPECT_GT(guarded.diagnostics.events_executed, 0u);
   EXPECT_EQ(guarded.diagnostics.sim_time_reached, s.duration);
+}
+
+// The abort message's backlog counts lane events (packets and ACKs on the
+// delay lines, the in-service packet) like wheel events. 42 is this run's
+// live backlog: the same figure the event core reported when every event
+// sat on the timing wheel.
+TEST(GuardedRun, EventBudgetAbortBacklogCountsLaneEvents) {
+  const Scenario s = small_scenario(2, 2);
+  GuardConfig guard;
+  guard.watchdog.max_events = 20000;
+  const RunOutcome o = run_scenario_guarded(s, guard);
+  ASSERT_EQ(o.status, RunStatus::kAbortedEventBudget);
+  EXPECT_EQ(o.diagnostics.pending_events, 42u);
+  EXPECT_NE(o.diagnostics.message.find("(42 live events pending)"),
+            std::string::npos)
+      << o.diagnostics.message;
 }
 
 TEST(GuardedRun, EventBudgetAbortsDeterministically) {

@@ -1,5 +1,8 @@
 // Integration: every congestion control, alone on a clean link, must
 // achieve high utilization — across capacities, RTTs and buffer depths.
+#include <ostream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "exp/scenario_runner.hpp"
@@ -14,6 +17,13 @@ struct SoloParam {
   double buffer_bdp;
   double min_util;
 };
+
+// gtest prints GetParam() into every ctest name; without this it dumps the
+// struct's raw bytes, padding included.
+void PrintTo(const SoloParam& p, std::ostream* os) {
+  *os << "{" << to_string(p.cc) << ", " << p.cap_mbps << " Mbps, " << p.rtt_ms
+      << " ms, " << p.buffer_bdp << " BDP, min util " << p.min_util << "}";
+}
 
 class SoloFlow : public ::testing::TestWithParam<SoloParam> {};
 

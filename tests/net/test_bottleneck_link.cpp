@@ -122,5 +122,43 @@ TEST(BottleneckLink, VariablePacketSizes) {
   EXPECT_EQ(exits[1], from_us(2500));
 }
 
+// A rate change takes effect at the next service start (the packet in
+// service finishes at the old rate), and a later change back reuses the
+// first rate's serialization time.
+TEST(BottleneckLink, RateChangesApplyFromTheNextService) {
+  Simulator sim;
+  BottleneckLink link{sim, 1.5e6, 100000, 1};
+  std::vector<TimeNs> exits;
+  link.set_sink([&](const Packet&) { exits.push_back(sim.now()); });
+  for (SeqNo s = 1; s <= 4; ++s) link.send(make_packet(0, s));
+  sim.schedule_at(from_us(500), [&] { link.set_rate(0.75e6); });
+  sim.schedule_at(from_ms(4), [&] { link.set_rate(1.5e6); });
+  sim.run();
+  ASSERT_EQ(exits.size(), 4u);
+  EXPECT_EQ(exits[0], from_ms(1));  // started before the change
+  EXPECT_EQ(exits[1], from_ms(3));  // 2 ms at half rate
+  EXPECT_EQ(exits[2], from_ms(5));  // started at 3 ms, still half rate
+  EXPECT_EQ(exits[3], from_ms(6));  // full rate again
+  EXPECT_EQ(link.busy_time(), from_ms(6));
+}
+
+// A typed sink (any callable struct) receives packets exactly like the
+// default std::function sink.
+TEST(BottleneckLink, TypedSinkReceivesServedPackets) {
+  struct Collect {
+    std::vector<SeqNo>* seqs;
+    void operator()(const Packet& p) const { seqs->push_back(p.seq); }
+  };
+  Simulator sim;
+  std::vector<SeqNo> seqs;
+  BasicBottleneckLink<Collect> link{sim, 1.5e6, 100000, 1};
+  link.set_sink(Collect{&seqs});
+  link.send(make_packet(0, 7));
+  link.send(make_packet(0, 8));
+  sim.run();
+  EXPECT_EQ(seqs, (std::vector<SeqNo>{7, 8}));
+  EXPECT_EQ(sim.now(), from_ms(2));
+}
+
 }  // namespace
 }  // namespace bbrnash

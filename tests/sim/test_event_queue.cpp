@@ -389,5 +389,92 @@ TEST(EventQueue, MidDrainSameInstantInsertKeepsFifo) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
+// --- Fixed-delay lanes ----------------------------------------------------
+
+TEST(EventQueue, LaneIsSharedPerDelay) {
+  EventQueue q;
+  const LaneId a = q.lane(100);
+  const LaneId b = q.lane(250);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(q.lane(100), a);
+  EXPECT_EQ(q.lane(250), b);
+}
+
+// Lane and wheel events merge on (when, schedule order): a lane event and
+// a wheel event due at the same instant fire in the order they were
+// scheduled, and the cold pop()/next_time() path sees lane heads too.
+TEST(EventQueue, LaneAndWheelMergeInScheduleOrder) {
+  EventQueue q;
+  std::vector<int> order;
+  const LaneId fast = q.lane(10);
+  const LaneId slow = q.lane(30);
+  q.schedule(10, [&] { order.push_back(0); });
+  q.schedule_lane(fast, 0, [&] { order.push_back(1); });
+  q.schedule_lane(slow, 0, [&] { order.push_back(4); });
+  q.schedule(10, [&] { order.push_back(2); });
+  q.schedule_lane(fast, 5, [&] { order.push_back(3); });
+  EXPECT_EQ(q.size(), 5u);
+  EXPECT_EQ(q.raw_size(), 5u);
+  EXPECT_EQ(q.next_time(), 10);
+  std::vector<TimeNs> whens;
+  while (!q.empty()) {
+    auto ev = q.pop();
+    whens.push_back(ev.when);
+    ev.fn();
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(whens, (std::vector<TimeNs>{10, 10, 10, 15, 30}));
+  EXPECT_EQ(q.size(), 0u);
+}
+
+// A lane event whose own pushes outgrow its ring (splicing in segments)
+// must still see its captures intact and its pushes in FIFO order: lane
+// entries never move (an ASan build turns a violation into a
+// use-after-free report).
+TEST(EventQueue, LaneGrowthWhileFiringKeepsCaptures) {
+  EventQueue q;
+  const LaneId lane = q.lane(7);
+  std::vector<std::uint64_t> seen;
+  TimeNs clock = 0;
+  struct Payload {
+    EventQueue* q;
+    LaneId lane;
+    std::vector<std::uint64_t>* seen;
+    TimeNs* clock;
+    std::uint64_t tag;
+    void operator()() const {
+      for (std::uint64_t i = 0; i < 500; ++i) {
+        q->schedule_lane(lane, *clock, [s = seen, i] { s->push_back(i); });
+      }
+      seen->push_back(tag);  // reads this payload after the ring grew
+    }
+  };
+  q.schedule_lane(lane, 0, Payload{&q, lane, &seen, &clock, 0xC0FFEE});
+  while (q.run_one(kTimeInf, clock)) {
+  }
+  ASSERT_EQ(seen.size(), 501u);
+  EXPECT_EQ(seen[0], 0xC0FFEEu);
+  for (std::uint64_t i = 0; i < 500; ++i) EXPECT_EQ(seen[i + 1], i);
+  EXPECT_EQ(clock, 14);
+}
+
+// Boxed (non-trivially-copyable) lane callables fire and are released,
+// both when run and when the queue is destroyed with them unfired.
+TEST(EventQueue, BoxedLaneCallablesFireAndRelease) {
+  std::vector<int> sink;
+  {
+    EventQueue q;
+    const LaneId lane = q.lane(3);
+    std::vector<int> payload{4, 5, 6};
+    q.schedule_lane(lane, 0, [payload, &sink] { sink = payload; });
+    q.schedule_lane(lane, 1, [payload, &sink] { sink.push_back(99); });
+    TimeNs clock = 0;
+    EXPECT_TRUE(q.run_one(3, clock));
+    EXPECT_EQ(clock, 3);
+    EXPECT_FALSE(q.run_one(3, clock));  // the second is due at 4
+  }
+  EXPECT_EQ(sink, (std::vector<int>{4, 5, 6}));
+}
+
 }  // namespace
 }  // namespace bbrnash

@@ -123,6 +123,35 @@ TEST(Simulator, EventBudgetAndBacklogUseLiveCountNotRawSlots) {
   EXPECT_EQ(sim.pending_events_raw(), 0u);
 }
 
+// Lane events are live events: pending_events() counts them, the event
+// budget spends on them, and run_until stops at a deadline between a lane
+// event and a wheel event.
+TEST(Simulator, LaneEventsCountAsPendingAndSpendBudget) {
+  Simulator sim;
+  const LaneId lane = sim.lane(from_ms(10));
+  std::vector<int> order;
+  for (int i = 0; i < 4; ++i) {
+    sim.schedule_lane(lane, [&order, i] { order.push_back(i); });
+  }
+  sim.schedule_at(from_ms(12), [&order] { order.push_back(9); });
+  EXPECT_EQ(sim.pending_events(), 5u);
+  EXPECT_EQ(sim.pending_events_raw(), 5u);
+
+  sim.set_event_budget(2);
+  sim.run_until(from_ms(11));
+  EXPECT_TRUE(sim.budget_exhausted());
+  EXPECT_EQ(sim.now(), from_ms(10));
+  EXPECT_EQ(sim.pending_events(), 3u);
+
+  sim.set_event_budget(0);
+  sim.run_until(from_ms(11));
+  EXPECT_EQ(sim.now(), from_ms(11));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 9}));
+  EXPECT_EQ(sim.events_executed(), 5u);
+}
+
 TEST(Simulator, EventChainSimulatesPeriodicProcess) {
   Simulator sim;
   int ticks = 0;

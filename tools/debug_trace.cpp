@@ -41,8 +41,9 @@ int main(int argc, char** argv) try {
   for (FlowId i = 0; i < 2; ++i) {
     auto& ep = eps[i];
     ep.rcv = std::make_unique<Receiver>(i);
+    // The reverse half takes the odd nanosecond, as in execute_scenario.
     ep.fwd = std::make_unique<DelayLine<Packet>>(sim, rtt / 2);
-    ep.rev = std::make_unique<DelayLine<Ack>>(sim, rtt / 2);
+    ep.rev = std::make_unique<DelayLine<Ack>>(sim, rtt - rtt / 2);
     std::unique_ptr<CongestionControl> cc;
     if (i == 0) {
       cc = std::make_unique<Cubic>();
