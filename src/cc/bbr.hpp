@@ -13,8 +13,6 @@
 // loss-agnostic); only an RTO resets the in-flight conservatively.
 #pragma once
 
-#include <string>
-
 #include "cc/congestion_control.hpp"
 #include "util/filters.hpp"
 #include "util/rng.hpp"
@@ -35,21 +33,21 @@ struct BbrConfig {
   std::uint64_t seed = 1;  ///< randomizes the initial ProbeBW cycle phase
 };
 
-class Bbr final : public CongestionControl {
+class Bbr {
  public:
   enum class State { kStartup, kDrain, kProbeBw, kProbeRtt };
 
   explicit Bbr(const BbrConfig& cfg = {});
 
-  void on_start(TimeNs now) override;
-  void on_ack(const AckEvent& ev) override;
-  void on_congestion_event(const LossEvent& ev) override;
-  void on_packet_lost(TimeNs now, Bytes lost_bytes, Bytes inflight) override;
-  void on_rto(TimeNs now) override;
+  void on_start(TimeNs now);
+  void on_ack(const AckEvent& ev);
+  void on_congestion_event(const LossEvent& ev);
+  void on_packet_lost(TimeNs now, Bytes lost_bytes, Bytes inflight);
+  void on_rto(TimeNs now);
 
-  [[nodiscard]] Bytes cwnd() const override { return cwnd_; }
-  [[nodiscard]] BytesPerSec pacing_rate() const override;
-  [[nodiscard]] std::string name() const override { return "bbr"; }
+  [[nodiscard]] Bytes cwnd() const { return cwnd_; }
+  [[nodiscard]] BytesPerSec pacing_rate() const;
+  [[nodiscard]] int pacing_burst_segments() const { return kTsoBurstSegments; }
 
   // Introspection (tests, traces, ablations).
   [[nodiscard]] State state() const { return state_; }

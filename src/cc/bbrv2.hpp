@@ -17,8 +17,6 @@
 // substitution.
 #pragma once
 
-#include <string>
-
 #include "cc/congestion_control.hpp"
 #include "util/filters.hpp"
 #include "util/rng.hpp"
@@ -44,21 +42,21 @@ struct BbrV2Config {
   std::uint64_t seed = 1;
 };
 
-class BbrV2 final : public CongestionControl {
+class BbrV2 {
  public:
   enum class State { kStartup, kDrain, kProbeBw, kProbeRtt };
 
   explicit BbrV2(const BbrV2Config& cfg = {});
 
-  void on_start(TimeNs now) override;
-  void on_ack(const AckEvent& ev) override;
-  void on_congestion_event(const LossEvent& ev) override;
-  void on_packet_lost(TimeNs now, Bytes lost_bytes, Bytes inflight) override;
-  void on_rto(TimeNs now) override;
+  void on_start(TimeNs now);
+  void on_ack(const AckEvent& ev);
+  void on_congestion_event(const LossEvent& ev);
+  void on_packet_lost(TimeNs now, Bytes lost_bytes, Bytes inflight);
+  void on_rto(TimeNs now);
 
-  [[nodiscard]] Bytes cwnd() const override;
-  [[nodiscard]] BytesPerSec pacing_rate() const override;
-  [[nodiscard]] std::string name() const override { return "bbrv2"; }
+  [[nodiscard]] Bytes cwnd() const;
+  [[nodiscard]] BytesPerSec pacing_rate() const;
+  [[nodiscard]] int pacing_burst_segments() const { return kTsoBurstSegments; }
 
   [[nodiscard]] State state() const { return state_; }
   [[nodiscard]] BytesPerSec btlbw() const { return btlbw_.best(); }

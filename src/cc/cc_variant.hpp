@@ -1,29 +1,19 @@
-// Devirtualized congestion-control dispatch.
+// Congestion-control dispatch: the one way a Sender calls its algorithm.
 //
 // The Sender's hot loop consults its CC several times per ACK (cwnd,
-// pacing_rate, pacing_burst_segments, on_ack); through the virtual
-// CongestionControl interface each consult is an indirect call the
-// compiler cannot inline into the transport. CcVariant closes that gap:
-// it holds one of the seven concrete algorithms *by value* in a
-// std::variant and dispatches with a switch on the variant index, so
-// every member call resolves to a direct (inlinable — all seven classes
-// are `final`) call on the concrete type.
+// pacing_rate, pacing_burst_segments, on_ack). CcVariant holds one of the
+// seven concrete algorithms *by value* in a std::variant and dispatches
+// with a switch on the variant index, so every member call resolves to a
+// direct call on the concrete type that the optimizer can inline into the
+// transport. There is no base class: each algorithm declares every
+// callback below itself, and the unconditional calls in dispatch() check
+// those signatures at compile time.
 //
-// The virtual interface stays fully supported as the eighth alternative:
-// a std::unique_ptr<CongestionControl> adapter. Tests, examples, and
-// custom/mock algorithms keep constructing Senders from unique_ptrs and
-// pay exactly the old virtual-dispatch cost; the simulation results are
-// bit-identical either way (same algorithm code, same arithmetic — only
-// the call mechanics differ), which tests/exp pin via the jobs x dispatch
-// equivalence suite.
-//
-// Adding CCA #8: see DESIGN.md §6a — implement the class (final, derived
-// from CongestionControl for introspection), append it to the Var
-// alternative list *before* the unique_ptr adapter, add a case label to
-// both dispatch() overloads, and extend make_cc_variant in factory.cpp.
+// Adding CCA #8: see DESIGN.md §6a — implement the class with every
+// callback below, append it to the Var alternative list and add a case
+// label to dispatch(), and extend make_cc_variant in factory.cpp.
 #pragma once
 
-#include <memory>
 #include <utility>
 #include <variant>
 
@@ -39,38 +29,23 @@
 namespace bbrnash {
 
 class CcVariant {
-  using Var = std::variant<Cubic, Reno, Bbr, BbrV2, Copa, Vivace, Vegas,
-                           std::unique_ptr<CongestionControl>>;
+  using Var = std::variant<Cubic, Reno, Bbr, BbrV2, Copa, Vivace, Vegas>;
 
   /// Switch-on-index dispatch (instead of std::visit's function-pointer
   /// table) so each arm is a direct call the optimizer inlines into the
-  /// sender hot loop. The adapter arm dereferences to the base class,
-  /// which keeps its virtual dispatch. Defined before all uses: the
-  /// deduced (decltype(auto)) return type must be resolvable at each call.
-  template <typename F>
-  decltype(auto) dispatch(F&& f) {
-    switch (v_.index()) {
-      case 0: return f(*std::get_if<0>(&v_));
-      case 1: return f(*std::get_if<1>(&v_));
-      case 2: return f(*std::get_if<2>(&v_));
-      case 3: return f(*std::get_if<3>(&v_));
-      case 4: return f(*std::get_if<4>(&v_));
-      case 5: return f(*std::get_if<5>(&v_));
-      case 6: return f(*std::get_if<6>(&v_));
-      default: return f(**std::get_if<7>(&v_));
-    }
-  }
-  template <typename F>
-  decltype(auto) dispatch(F&& f) const {
-    switch (v_.index()) {
-      case 0: return f(*std::get_if<0>(&v_));
-      case 1: return f(*std::get_if<1>(&v_));
-      case 2: return f(*std::get_if<2>(&v_));
-      case 3: return f(*std::get_if<3>(&v_));
-      case 4: return f(*std::get_if<4>(&v_));
-      case 5: return f(*std::get_if<5>(&v_));
-      case 6: return f(*std::get_if<6>(&v_));
-      default: return f(**std::get_if<7>(&v_));
+  /// sender hot loop. `Self` is CcVariant or const CcVariant. Defined
+  /// before all uses: the deduced (decltype(auto)) return type must be
+  /// resolvable at each call.
+  template <typename Self, typename F>
+  static decltype(auto) dispatch(Self& self, F&& f) {
+    switch (self.v_.index()) {
+      case 0: return f(*std::get_if<0>(&self.v_));
+      case 1: return f(*std::get_if<1>(&self.v_));
+      case 2: return f(*std::get_if<2>(&self.v_));
+      case 3: return f(*std::get_if<3>(&self.v_));
+      case 4: return f(*std::get_if<4>(&self.v_));
+      case 5: return f(*std::get_if<5>(&self.v_));
+      default: return f(*std::get_if<6>(&self.v_));
     }
   }
 
@@ -84,54 +59,58 @@ class CcVariant {
   explicit CcVariant(Copa cc) : v_(std::move(cc)) {}
   explicit CcVariant(Vivace cc) : v_(std::move(cc)) {}
   explicit CcVariant(Vegas cc) : v_(std::move(cc)) {}
-  /// Virtual-dispatch adapter: wraps any CongestionControl (custom or
-  /// scripted test doubles) at the old indirect-call cost.
-  explicit CcVariant(std::unique_ptr<CongestionControl> cc)
-      : v_(std::move(cc)) {}
 
   CcVariant(CcVariant&&) = default;
   CcVariant& operator=(CcVariant&&) = default;
 
+  /// Called once before the first transmission.
   void on_start(TimeNs now) {
-    dispatch([&](auto& c) { c.on_start(now); });
+    dispatch(*this, [&](auto& c) { c.on_start(now); });
   }
+  /// Called for every ACK that newly delivers data.
   void on_ack(const AckEvent& ev) {
-    dispatch([&](auto& c) { c.on_ack(ev); });
+    dispatch(*this, [&](auto& c) { c.on_ack(ev); });
   }
+  /// Called once when a recovery episode begins (fast retransmit).
   void on_congestion_event(const LossEvent& ev) {
-    dispatch([&](auto& c) { c.on_congestion_event(ev); });
+    dispatch(*this, [&](auto& c) { c.on_congestion_event(ev); });
   }
+  /// Called per individual lost packet (some CCAs, e.g. BBRv2's
+  /// inflight_hi bookkeeping, care about loss volume, not just episodes).
   void on_packet_lost(TimeNs now, Bytes lost_bytes, Bytes inflight) {
-    dispatch([&](auto& c) { c.on_packet_lost(now, lost_bytes, inflight); });
+    dispatch(*this,
+             [&](auto& c) { c.on_packet_lost(now, lost_bytes, inflight); });
   }
+  /// Called when the retransmission timer fires (all inflight presumed
+  /// lost).
   void on_rto(TimeNs now) {
-    dispatch([&](auto& c) { c.on_rto(now); });
+    dispatch(*this, [&](auto& c) { c.on_rto(now); });
   }
+  /// Congestion window in bytes. The sender enforces
+  /// inflight + next_packet <= cwnd().
   [[nodiscard]] Bytes cwnd() const {
-    return dispatch([](const auto& c) { return c.cwnd(); });
+    return dispatch(*this, [](const auto& c) { return c.cwnd(); });
   }
+  /// Pacing gate in bytes/sec (kNoPacing = unpaced).
   [[nodiscard]] BytesPerSec pacing_rate() const {
-    return dispatch([](const auto& c) { return c.pacing_rate(); });
+    return dispatch(*this, [](const auto& c) { return c.pacing_rate(); });
   }
+  /// Largest pacing burst (segments) the algorithm tolerates
+  /// (kTsoBurstSegments for kernel-TCP-like ones).
   [[nodiscard]] int pacing_burst_segments() const {
-    return dispatch([](const auto& c) { return c.pacing_burst_segments(); });
+    return dispatch(*this,
+                    [](const auto& c) { return c.pacing_burst_segments(); });
   }
 
-  /// The held algorithm as its (virtual) base — for introspection sites
-  /// that snapshot state or dynamic_cast to a concrete CCA. The reference
-  /// has the true dynamic type in every alternative.
-  [[nodiscard]] CongestionControl& base() {
-    return dispatch(
-        [](auto& c) -> CongestionControl& { return c; });
-  }
-  [[nodiscard]] const CongestionControl& base() const {
-    return dispatch(
-        [](const auto& c) -> const CongestionControl& { return c; });
+  /// The held algorithm as its concrete type, for introspection (tests,
+  /// traces). Throws std::bad_variant_access when it holds another one.
+  template <typename T>
+  [[nodiscard]] const T& get() const {
+    return std::get<T>(v_);
   }
 };
 
-/// Creates a devirtualized (by-value) CC instance of the given kind, with
-/// the exact same configuration mapping as make_congestion_control.
+/// Creates the CC instance of the given kind.
 [[nodiscard]] CcVariant make_cc_variant(CcKind kind, const CcConfig& cfg);
 
 }  // namespace bbrnash

@@ -1,19 +1,18 @@
-// The congestion-control plug-in interface.
+// The congestion-control vocabulary every algorithm shares.
 //
 // The Sender (src/flow/sender.hpp) owns reliability (loss detection,
-// retransmission, RTO) and delivery-rate accounting; a CongestionControl
-// implementation consumes per-ACK AckEvents and congestion notifications
-// and exposes two control outputs:
+// retransmission, RTO) and delivery-rate accounting; a CC algorithm
+// consumes per-ACK AckEvents and congestion notifications and exposes two
+// control outputs:
 //   * cwnd()        — bytes allowed in flight (always enforced), and
 //   * pacing_rate() — bytes/sec send gate (kNoPacing disables pacing).
 // This mirrors how Linux TCP separates tcp_input.c from tcp_cong.c, and it
 // lets window-based (CUBIC/Reno), rate-based (BBR, Vivace) and delay-based
-// (Copa) algorithms share one transport.
+// (Copa) algorithms share one transport. The per-callback contract lives
+// with the dispatcher, CcVariant (cc/cc_variant.hpp).
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 
 #include "net/packet.hpp"
 #include "util/rng.hpp"
@@ -23,6 +22,12 @@ namespace bbrnash {
 
 /// Pacing disabled: the sender may transmit back-to-back up to cwnd.
 inline constexpr BytesPerSec kNoPacing = 1e18;
+
+/// The pacing burst (segments) of a kernel-TCP-like algorithm: Linux
+/// releases TSO-sized bursts. Finely-measuring rate-based schemes (PCC,
+/// Copa reference implementations run over UDP) pace per packet instead to
+/// keep their RTT telemetry clean.
+inline constexpr int kTsoBurstSegments = 4;
 
 /// Everything a CC algorithm may want to know about one acknowledgement.
 /// Field semantics follow the Linux rate-sample infrastructure (tcp_rate.c)
@@ -49,47 +54,6 @@ struct LossEvent {
   Bytes delivered = 0;      ///< lifetime delivered bytes
 };
 
-class CongestionControl {
- public:
-  virtual ~CongestionControl() = default;
-
-  /// Called once before the first transmission.
-  virtual void on_start(TimeNs now) = 0;
-
-  /// Called for every incoming ACK.
-  virtual void on_ack(const AckEvent& ev) = 0;
-
-  /// Called once when a recovery episode begins (fast retransmit).
-  virtual void on_congestion_event(const LossEvent& ev) = 0;
-
-  /// Called per individual lost packet (some CCAs, e.g. BBRv2's inflight_hi
-  /// bookkeeping, care about loss volume, not just episodes).
-  virtual void on_packet_lost(TimeNs now, Bytes lost_bytes, Bytes inflight) {
-    (void)now;
-    (void)lost_bytes;
-    (void)inflight;
-  }
-
-  /// Called when the retransmission timer fires (all inflight presumed lost).
-  virtual void on_rto(TimeNs now) = 0;
-
-  /// Congestion window in bytes. The sender enforces
-  /// inflight + next_packet <= cwnd().
-  [[nodiscard]] virtual Bytes cwnd() const = 0;
-
-  /// Pacing gate in bytes/sec (kNoPacing = unpaced).
-  [[nodiscard]] virtual BytesPerSec pacing_rate() const = 0;
-
-  /// Human-readable algorithm name (for tables and traces).
-  [[nodiscard]] virtual std::string name() const = 0;
-
-  /// Largest pacing burst (segments) this algorithm tolerates. Kernel TCP
-  /// releases TSO-sized bursts (the default); finely-measuring rate-based
-  /// schemes (PCC, Copa reference implementations run over UDP) pace per
-  /// packet to keep their RTT telemetry clean.
-  [[nodiscard]] virtual int pacing_burst_segments() const { return 4; }
-};
-
 /// The algorithms this repository implements.
 enum class CcKind { kCubic, kReno, kBbr, kBbrV2, kCopa, kVivace, kVegas };
 
@@ -105,9 +69,5 @@ struct CcConfig {
   /// paper's assumption 2; the inflight-cap ablation bench varies it.
   double bbr_cwnd_gain = 2.0;
 };
-
-/// Creates a congestion control instance of the given kind.
-std::unique_ptr<CongestionControl> make_congestion_control(CcKind kind,
-                                                           const CcConfig& cfg);
 
 }  // namespace bbrnash

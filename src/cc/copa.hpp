@@ -14,8 +14,6 @@
 // that exhibits exactly that property.
 #pragma once
 
-#include <string>
-
 #include "cc/congestion_control.hpp"
 #include "util/filters.hpp"
 
@@ -35,19 +33,19 @@ struct CopaConfig {
   double max_velocity = 65536.0;
 };
 
-class Copa final : public CongestionControl {
+class Copa {
  public:
   explicit Copa(const CopaConfig& cfg = {});
 
-  void on_start(TimeNs now) override;
-  void on_ack(const AckEvent& ev) override;
-  void on_congestion_event(const LossEvent& ev) override;
-  void on_rto(TimeNs now) override;
+  void on_start(TimeNs now);
+  void on_ack(const AckEvent& ev);
+  void on_congestion_event(const LossEvent& ev);
+  void on_packet_lost(TimeNs, Bytes, Bytes) {}
+  void on_rto(TimeNs now);
 
-  [[nodiscard]] Bytes cwnd() const override { return cwnd_; }
-  [[nodiscard]] BytesPerSec pacing_rate() const override;
-  [[nodiscard]] std::string name() const override { return "copa"; }
-  [[nodiscard]] int pacing_burst_segments() const override { return 1; }
+  [[nodiscard]] Bytes cwnd() const { return cwnd_; }
+  [[nodiscard]] BytesPerSec pacing_rate() const;
+  [[nodiscard]] int pacing_burst_segments() const { return 1; }
 
   [[nodiscard]] double velocity() const { return velocity_; }
   [[nodiscard]] TimeNs queuing_delay() const;

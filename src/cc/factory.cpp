@@ -1,12 +1,4 @@
-#include "cc/bbr.hpp"
-#include "cc/bbrv2.hpp"
 #include "cc/cc_variant.hpp"
-#include "cc/congestion_control.hpp"
-#include "cc/copa.hpp"
-#include "cc/cubic.hpp"
-#include "cc/reno.hpp"
-#include "cc/vegas.hpp"
-#include "cc/vivace.hpp"
 
 #include <stdexcept>
 
@@ -33,10 +25,6 @@ const char* to_string(CcKind kind) {
 }
 
 namespace {
-
-// The single source for CcConfig -> per-algorithm config mapping, shared
-// by the virtual and variant factories so the two dispatch paths can
-// never drift apart.
 
 CubicConfig cubic_config(const CcConfig& cfg) {
   CubicConfig c;
@@ -95,27 +83,6 @@ VegasConfig vegas_config(const CcConfig& cfg) {
 }
 
 }  // namespace
-
-std::unique_ptr<CongestionControl> make_congestion_control(CcKind kind,
-                                                           const CcConfig& cfg) {
-  switch (kind) {
-    case CcKind::kCubic:
-      return std::make_unique<Cubic>(cubic_config(cfg));
-    case CcKind::kReno:
-      return std::make_unique<Reno>(reno_config(cfg));
-    case CcKind::kBbr:
-      return std::make_unique<Bbr>(bbr_config(cfg));
-    case CcKind::kBbrV2:
-      return std::make_unique<BbrV2>(bbrv2_config(cfg));
-    case CcKind::kCopa:
-      return std::make_unique<Copa>(copa_config(cfg));
-    case CcKind::kVivace:
-      return std::make_unique<Vivace>(vivace_config(cfg));
-    case CcKind::kVegas:
-      return std::make_unique<Vegas>(vegas_config(cfg));
-  }
-  throw std::invalid_argument{"unknown congestion control kind"};
-}
 
 CcVariant make_cc_variant(CcKind kind, const CcConfig& cfg) {
   switch (kind) {

@@ -11,8 +11,6 @@
 // with this implementation.
 #pragma once
 
-#include <string>
-
 #include "cc/congestion_control.hpp"
 
 namespace bbrnash {
@@ -25,18 +23,19 @@ struct VegasConfig {
   Bytes min_cwnd = 2 * kDefaultMss;
 };
 
-class Vegas final : public CongestionControl {
+class Vegas {
  public:
   explicit Vegas(const VegasConfig& cfg = {});
 
-  void on_start(TimeNs now) override;
-  void on_ack(const AckEvent& ev) override;
-  void on_congestion_event(const LossEvent& ev) override;
-  void on_rto(TimeNs now) override;
+  void on_start(TimeNs now);
+  void on_ack(const AckEvent& ev);
+  void on_congestion_event(const LossEvent& ev);
+  void on_packet_lost(TimeNs, Bytes, Bytes) {}
+  void on_rto(TimeNs now);
 
-  [[nodiscard]] Bytes cwnd() const override { return cwnd_; }
-  [[nodiscard]] BytesPerSec pacing_rate() const override { return kNoPacing; }
-  [[nodiscard]] std::string name() const override { return "vegas"; }
+  [[nodiscard]] Bytes cwnd() const { return cwnd_; }
+  [[nodiscard]] BytesPerSec pacing_rate() const { return kNoPacing; }
+  [[nodiscard]] int pacing_burst_segments() const { return kTsoBurstSegments; }
 
   [[nodiscard]] bool in_slow_start() const { return slow_start_; }
   [[nodiscard]] TimeNs base_rtt() const { return base_rtt_; }

@@ -25,8 +25,6 @@
 // mixed Nash Equilibrium is expected for it too.
 #pragma once
 
-#include <string>
-
 #include "cc/congestion_control.hpp"
 
 namespace bbrnash {
@@ -52,20 +50,19 @@ struct VivaceConfig {
   int loss_brake_min_packets = 30;
 };
 
-class Vivace final : public CongestionControl {
+class Vivace {
  public:
   explicit Vivace(const VivaceConfig& cfg = {});
 
-  void on_start(TimeNs now) override;
-  void on_ack(const AckEvent& ev) override;
-  void on_congestion_event(const LossEvent& ev) override;
-  void on_packet_lost(TimeNs now, Bytes lost_bytes, Bytes inflight) override;
-  void on_rto(TimeNs now) override;
+  void on_start(TimeNs now);
+  void on_ack(const AckEvent& ev);
+  void on_congestion_event(const LossEvent& ev);
+  void on_packet_lost(TimeNs now, Bytes lost_bytes, Bytes inflight);
+  void on_rto(TimeNs now);
 
-  [[nodiscard]] Bytes cwnd() const override;
-  [[nodiscard]] BytesPerSec pacing_rate() const override;
-  [[nodiscard]] std::string name() const override { return "vivace"; }
-  [[nodiscard]] int pacing_burst_segments() const override { return 1; }
+  [[nodiscard]] Bytes cwnd() const;
+  [[nodiscard]] BytesPerSec pacing_rate() const;
+  [[nodiscard]] int pacing_burst_segments() const { return 1; }
 
   [[nodiscard]] double rate_mbps() const { return rate_mbps_; }
 

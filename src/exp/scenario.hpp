@@ -94,12 +94,8 @@ struct Scenario {
   /// zero-allocation hot path untouched.
   AuditConfig audit;
 
-  /// Test-only: construct senders through the virtual-dispatch
-  /// CongestionControl adapter instead of the devirtualized CcVariant hot
-  /// path. The two are bit-identical by construction (same algorithm code,
-  /// same factory config mapping); the jobs x dispatch equivalence suite
-  /// pins that claim by running both and comparing RunOutcomes.
-  bool virtual_cc_dispatch = false;
+  /// Only for bench/e2e's mirror guard; drop it in the next benchmark change.
+  static constexpr bool virtual_cc_dispatch = false;
 
   [[nodiscard]] int count(CcKind kind) const {
     int n = 0;

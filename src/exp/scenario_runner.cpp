@@ -216,6 +216,47 @@ struct LinkExit {
 };
 using Link = BasicBottleneckLink<LinkExit>;
 
+/// Sender exit: a flow's access path to the bottleneck. Access jitter
+/// (see Scenario::access_jitter) has a monotonicity guard so a flow's own
+/// packets are never reordered (deliberate reordering is the impairment
+/// stage's job); the packet then enters the flow's impairment stage, or the
+/// bottleneck when the path is clean. The audit ledger and the flight
+/// recorder are noted when attached. Access events capture one pointer plus
+/// the packet, which keeps them inside the event record's inline buffer.
+struct AccessPath {
+  Simulator* sim = nullptr;
+  Link* link = nullptr;
+  ImpairmentStage<Packet>* stage = nullptr;
+  ConservationAudit* audit = nullptr;
+  FlightRecorder* recorder = nullptr;
+  FlowId flow = 0;
+  Rng rng;
+  TimeNs jitter = 1;
+  TimeNs last_arrival = 0;
+
+  void transmit(const Packet& pkt) {
+    if (audit != nullptr) audit->note_injected(flow);
+    if (recorder != nullptr) {
+      recorder->note(sim->now(), FlightEventKind::kInject, flow, pkt.seq,
+                     pkt.is_retransmit ? 1 : 0);
+    }
+    last_arrival = std::max(
+        last_arrival + 1,
+        sim->now() + static_cast<TimeNs>(rng.next_below(
+                         static_cast<std::uint64_t>(jitter))));
+    sim->schedule_at(last_arrival, [this, pkt] { arrive(pkt); });
+  }
+
+  void arrive(const Packet& pkt) const {
+    if (audit != nullptr) audit->note_access_exit(flow);
+    if (stage != nullptr) {
+      stage->send(pkt);
+    } else {
+      link->send(pkt);
+    }
+  }
+};
+
 /// Stateless seed mixer (SplitMix64 finalizer) for per-flow impairment
 /// streams. Deliberately NOT drawn from the scenario's root Rng: a pristine
 /// scenario must stay byte-identical to one where the impairment layer
@@ -262,7 +303,6 @@ ExecOutcome execute_scenario(const Scenario& scenario,
     audit = std::make_unique<ConservationAudit>(scenario.audit, n);
   }
   ConservationAudit* audit_p = audit.get();
-  const bool instrumented = audit_p != nullptr || recorder != nullptr;
 
   // Chaos: forced trial exception / event-loop stall / wall stall, planned
   // up front so the fault schedule is a pure function of (chaos seed,
@@ -362,20 +402,16 @@ ExecOutcome execute_scenario(const Scenario& scenario,
     }
   }
 
-  // Per-flow access-path state (see Scenario::access_jitter).
-  struct AccessPath {
-    Rng rng;
-    TimeNs jitter = 1;
-    TimeNs last_arrival = 0;
-  };
+  // Never resized after this: each sender and access event points into it.
   std::vector<AccessPath> access(n);
   const TimeNs default_jitter = serialization_time(
       scenario.mss + kHeaderBytes, scenario.capacity);
-  for (auto& a : access) {
-    a.rng = rng.fork();
-    a.jitter = std::max<TimeNs>(
-        1, scenario.access_jitter >= 0 ? scenario.access_jitter
-                                       : default_jitter);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    access[i] = AccessPath{&sim, &link, data_stages[i].get(), audit_p,
+                           recorder, i, rng.fork(),
+                           std::max<TimeNs>(1, scenario.access_jitter >= 0
+                                                   ? scenario.access_jitter
+                                                   : default_jitter)};
   }
 
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -392,63 +428,13 @@ ExecOutcome execute_scenario(const Scenario& scenario,
     cc_cfg.initial_cwnd = 10 * scenario.mss;
     cc_cfg.seed = rng.next_u64();
     cc_cfg.bbr_cwnd_gain = scenario.bbr_cwnd_gain;
-    CcVariant cc = scenario.virtual_cc_dispatch
-                       ? CcVariant{make_congestion_control(spec.cc, cc_cfg)}
-                       : make_cc_variant(spec.cc, cc_cfg);
-
     SenderConfig snd_cfg;
     snd_cfg.mss = scenario.mss;
     snd_cfg.transfer_bytes = spec.transfer_bytes;
-    ImpairmentStage<Packet>* data_stage = data_stages[i].get();
-    if (instrumented) {
-      // Audit/recorder wrapper: identical transmit logic plus the ledger's
-      // independent injection count and the flight-recorder note. Installed
-      // as a *separate* lambda so the uninstrumented path pays nothing.
-      senders.push_back(std::make_unique<Sender>(
-          sim, i, snd_cfg, std::move(cc),
-          [&sim, &link, &access, data_stage, audit_p, recorder,
-           i](const Packet& pkt) {
-            if (audit_p != nullptr) audit_p->note_injected(i);
-            if (recorder != nullptr) {
-              recorder->note(sim.now(), FlightEventKind::kInject, i, pkt.seq,
-                             pkt.is_retransmit ? 1 : 0);
-            }
-            access[i].last_arrival = std::max(
-                access[i].last_arrival + 1,
-                sim.now() + static_cast<TimeNs>(access[i].rng.next_below(
-                                static_cast<std::uint64_t>(access[i].jitter))));
-            sim.schedule_at(access[i].last_arrival,
-                            [&link, data_stage, audit_p, i, pkt] {
-                              if (audit_p != nullptr) {
-                                audit_p->note_access_exit(i);
-                              }
-                              if (data_stage != nullptr) {
-                                data_stage->send(pkt);
-                              } else {
-                                link.send(pkt);
-                              }
-                            });
-          }));
-    } else {
-      senders.push_back(std::make_unique<Sender>(
-          sim, i, snd_cfg, std::move(cc),
-          [&sim, &link, &access, data_stage, i](const Packet& pkt) {
-            // Access-path jitter with a monotonicity guard so a flow's own
-            // packets are never reordered (deliberate reordering is the
-            // impairment stage's job).
-            access[i].last_arrival = std::max(
-                access[i].last_arrival + 1,
-                sim.now() + static_cast<TimeNs>(access[i].rng.next_below(
-                                static_cast<std::uint64_t>(access[i].jitter))));
-            sim.schedule_at(access[i].last_arrival, [&link, data_stage, pkt] {
-              if (data_stage != nullptr) {
-                data_stage->send(pkt);
-              } else {
-                link.send(pkt);
-              }
-            });
-          }));
-    }
+    AccessPath* path = &access[i];
+    senders.push_back(std::make_unique<Sender>(
+        sim, i, snd_cfg, make_cc_variant(spec.cc, cc_cfg),
+        [path](const Packet& pkt) { path->transmit(pkt); }));
 
     ReversePath* rev = rev_lines[i].get();
     fwd_lines[i]->set_sink(PacketArrival{receivers[i].get(), recorder, &sim});

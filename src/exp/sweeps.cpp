@@ -28,7 +28,6 @@ MixOutcome run_mix_trials(const NetworkParams& net, int num_cubic,
                  s.ack_impairments = cfg.ack_impairments;
                  s.capacity_schedule = cfg.capacity_schedule;
                  s.audit = cfg.audit;
-                 s.virtual_cc_dispatch = cfg.virtual_cc_dispatch;
                  outcomes[t] = run_scenario_guarded(s, cfg.guard);
                });
 

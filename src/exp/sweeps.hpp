@@ -42,13 +42,6 @@ struct TrialConfig {
   /// Watchdog + retry policy per trial. The default (one attempt, no
   /// limits) reproduces the unguarded behaviour exactly.
   GuardConfig guard;
-
-  /// Test-only: route every trial through the virtual-dispatch
-  /// CongestionControl adapter instead of the devirtualized CcVariant path
-  /// (see Scenario::virtual_cc_dispatch). Bit-identical by construction,
-  /// pinned by tests/exp/test_dispatch_equivalence.cpp; excluded from
-  /// checkpoint keys for the same reason audit is.
-  bool virtual_cc_dispatch = false;
 };
 
 /// Averages over trials of a (num_cubic x CUBIC) vs (num_other x `other`)

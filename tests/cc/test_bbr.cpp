@@ -13,15 +13,13 @@ namespace {
 
 using bbrnash::testing::Loopback;
 
-std::unique_ptr<CongestionControl> make_bbr(std::size_t) {
+CcVariant make_bbr(std::size_t) {
   BbrConfig cfg;
   cfg.seed = 42;
-  return std::make_unique<Bbr>(cfg);
+  return CcVariant{Bbr{cfg}};
 }
 
-const Bbr& as_bbr(const CongestionControl& cc) {
-  return dynamic_cast<const Bbr&>(cc);
-}
+const Bbr& as_bbr(const CcVariant& cc) { return cc.get<Bbr>(); }
 
 TEST(Bbr, StartupFindsBandwidthWithinTwentyRtts) {
   // 20 Mbps, 40 ms: BDP ~ 69 packets. Startup doubles per RTT.
@@ -175,10 +173,10 @@ TEST(Bbr, LossAgnosticWindowSurvivesCongestionEvents) {
 
 TEST(Bbr, AblationKnobChangesCap) {
   Loopback lb{mbps(20), 4 * bdp_bytes(mbps(20), from_ms(40)), from_ms(40), 1,
-              [](std::size_t) -> std::unique_ptr<CongestionControl> {
+              [](std::size_t) -> CcVariant {
                 BbrConfig cfg;
                 cfg.cwnd_gain = 3.0;
-                return std::make_unique<Bbr>(cfg);
+                return CcVariant{Bbr{cfg}};
               }};
   lb.start_all();
   lb.sim().run_until(from_sec(5));

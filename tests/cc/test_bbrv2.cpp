@@ -11,15 +11,13 @@ namespace {
 
 using bbrnash::testing::Loopback;
 
-std::unique_ptr<CongestionControl> make_v2(std::size_t) {
+CcVariant make_v2(std::size_t) {
   BbrV2Config cfg;
   cfg.seed = 42;
-  return std::make_unique<BbrV2>(cfg);
+  return CcVariant{BbrV2{cfg}};
 }
 
-const BbrV2& as_v2(const CongestionControl& cc) {
-  return dynamic_cast<const BbrV2&>(cc);
-}
+const BbrV2& as_v2(const CcVariant& cc) { return cc.get<BbrV2>(); }
 
 TEST(BbrV2, FillsAnEmptyLink) {
   Loopback lb{mbps(20), 4 * bdp_bytes(mbps(20), from_ms(40)), from_ms(40), 1,
@@ -80,16 +78,16 @@ TEST(BbrV2, LessAggressiveThanV1AgainstCubic) {
   const auto run = [](bool v2_flag) {
     Loopback lb{
         mbps(20), 3 * bdp_bytes(mbps(20), from_ms(40)), from_ms(40), 2,
-        [&](std::size_t i) -> std::unique_ptr<CongestionControl> {
-          if (i == 0) return std::make_unique<Cubic>();
+        [&](std::size_t i) -> CcVariant {
+          if (i == 0) return CcVariant{Cubic{}};
           if (v2_flag) {
             BbrV2Config c;
             c.seed = 7;
-            return std::make_unique<BbrV2>(c);
+            return CcVariant{BbrV2{c}};
           }
           BbrConfig c;
           c.seed = 7;
-          return std::make_unique<Bbr>(c);
+          return CcVariant{Bbr{c}};
         }};
     lb.start_all();
     lb.sim().run_until(from_sec(40));

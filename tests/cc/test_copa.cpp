@@ -10,8 +10,8 @@ namespace {
 
 using bbrnash::testing::Loopback;
 
-std::unique_ptr<CongestionControl> make_copa(std::size_t) {
-  return std::make_unique<Copa>();
+CcVariant make_copa(std::size_t) {
+  return CcVariant{Copa{}};
 }
 
 TEST(Copa, FillsAnEmptyLink) {
@@ -41,9 +41,9 @@ TEST(Copa, KeepsQueueShallow) {
 TEST(Copa, CedesToCubic) {
   // The paper's §4.2 premise: Copa does not grab a disproportionate share.
   Loopback lb{mbps(20), 3 * bdp_bytes(mbps(20), from_ms(40)), from_ms(40), 2,
-              [](std::size_t i) -> std::unique_ptr<CongestionControl> {
-                if (i == 0) return std::make_unique<Cubic>();
-                return std::make_unique<Copa>();
+              [](std::size_t i) -> CcVariant {
+                if (i == 0) return CcVariant{Cubic{}};
+                return CcVariant{Copa{}};
               }};
   lb.start_all();
   lb.sim().run_until(from_sec(30));
@@ -73,7 +73,7 @@ TEST(Copa, VelocityResetsOnDirectionChange) {
               make_copa};
   lb.start_all();
   lb.sim().run_until(from_sec(10));
-  const auto& copa = dynamic_cast<const Copa&>(lb.cc(0));
+  const auto& copa = lb.cc(0).get<Copa>();
   // At steady state Copa oscillates around its target: velocity stays low.
   EXPECT_LE(copa.velocity(), 4.0);
 }
@@ -91,7 +91,7 @@ TEST(Copa, PacingTracksWindow) {
               make_copa};
   lb.start_all();
   lb.sim().run_until(from_sec(5));
-  const auto& copa = dynamic_cast<const Copa&>(lb.cc(0));
+  const auto& copa = lb.cc(0).get<Copa>();
   EXPECT_LT(copa.pacing_rate(), kNoPacing);
   EXPECT_GT(copa.pacing_rate(), 0.0);
 }

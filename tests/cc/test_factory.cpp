@@ -1,18 +1,25 @@
 #include <gtest/gtest.h>
 
-#include "cc/congestion_control.hpp"
+#include "cc/cc_variant.hpp"
 
 namespace bbrnash {
 namespace {
 
+/// make_cc_variant(kind) holds the concrete class `T`.
+template <typename T>
+void expect_holds(CcKind kind) {
+  const CcVariant cc = make_cc_variant(kind, CcConfig{});
+  EXPECT_NO_THROW(static_cast<void>(cc.get<T>())) << to_string(kind);
+}
+
 TEST(CcFactory, CreatesEveryKind) {
-  for (const CcKind kind :
-       {CcKind::kCubic, CcKind::kReno, CcKind::kBbr, CcKind::kBbrV2,
-        CcKind::kCopa, CcKind::kVivace, CcKind::kVegas}) {
-    const auto cc = make_congestion_control(kind, CcConfig{});
-    ASSERT_NE(cc, nullptr);
-    EXPECT_EQ(cc->name(), to_string(kind));
-  }
+  expect_holds<Cubic>(CcKind::kCubic);
+  expect_holds<Reno>(CcKind::kReno);
+  expect_holds<Bbr>(CcKind::kBbr);
+  expect_holds<BbrV2>(CcKind::kBbrV2);
+  expect_holds<Copa>(CcKind::kCopa);
+  expect_holds<Vivace>(CcKind::kVivace);
+  expect_holds<Vegas>(CcKind::kVegas);
 }
 
 TEST(CcFactory, NamesAreStable) {
@@ -22,28 +29,29 @@ TEST(CcFactory, NamesAreStable) {
   EXPECT_STREQ(to_string(CcKind::kBbrV2), "bbrv2");
   EXPECT_STREQ(to_string(CcKind::kCopa), "copa");
   EXPECT_STREQ(to_string(CcKind::kVivace), "vivace");
+  EXPECT_STREQ(to_string(CcKind::kVegas), "vegas");
 }
 
 TEST(CcFactory, HonoursInitialCwnd) {
   CcConfig cfg;
   cfg.initial_cwnd = 4 * kDefaultMss;
-  auto cc = make_congestion_control(CcKind::kCubic, cfg);
-  cc->on_start(0);
-  EXPECT_EQ(cc->cwnd(), 4 * kDefaultMss);
+  auto cc = make_cc_variant(CcKind::kCubic, cfg);
+  cc.on_start(0);
+  EXPECT_EQ(cc.cwnd(), 4 * kDefaultMss);
 }
 
 TEST(CcFactory, WindowCcasAreUnpaced) {
   for (const CcKind kind : {CcKind::kCubic, CcKind::kReno}) {
-    auto cc = make_congestion_control(kind, CcConfig{});
-    cc->on_start(0);
-    EXPECT_GE(cc->pacing_rate(), kNoPacing);
+    auto cc = make_cc_variant(kind, CcConfig{});
+    cc.on_start(0);
+    EXPECT_GE(cc.pacing_rate(), kNoPacing);
   }
 }
 
 TEST(CcFactory, RateCcasStartPacedOrPrimeable) {
   // BBR paces once its filters are primed; initially it may burst the IW.
-  auto bbr = make_congestion_control(CcKind::kBbr, CcConfig{});
-  bbr->on_start(0);
+  auto bbr = make_cc_variant(CcKind::kBbr, CcConfig{});
+  bbr.on_start(0);
   AckEvent ev;
   ev.now = from_ms(40);
   ev.rtt = from_ms(40);
@@ -51,18 +59,18 @@ TEST(CcFactory, RateCcasStartPacedOrPrimeable) {
   ev.delivered = kDefaultMss;
   ev.delivery_rate = mbps(10);
   ev.inflight = 5 * kDefaultMss;
-  bbr->on_ack(ev);
-  EXPECT_LT(bbr->pacing_rate(), kNoPacing);
+  bbr.on_ack(ev);
+  EXPECT_LT(bbr.pacing_rate(), kNoPacing);
 }
 
 TEST(CcFactory, BbrGainKnobApplies) {
   CcConfig cfg;
   cfg.bbr_cwnd_gain = 2.0;
-  auto a = make_congestion_control(CcKind::kBbr, cfg);
+  auto a = make_cc_variant(CcKind::kBbr, cfg);
   cfg.bbr_cwnd_gain = 3.0;
-  auto b = make_congestion_control(CcKind::kBbr, cfg);
+  auto b = make_cc_variant(CcKind::kBbr, cfg);
   // Feed the same primed state; higher gain must produce a larger target.
-  for (auto* cc : {a.get(), b.get()}) {
+  for (CcVariant* cc : {&a, &b}) {
     cc->on_start(0);
     AckEvent ev;
     ev.now = from_ms(40);
@@ -79,7 +87,7 @@ TEST(CcFactory, BbrGainKnobApplies) {
       cc->on_ack(ev);
     }
   }
-  EXPECT_GT(b->cwnd(), a->cwnd());
+  EXPECT_GT(b.cwnd(), a.cwnd());
 }
 
 }  // namespace

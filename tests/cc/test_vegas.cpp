@@ -10,8 +10,8 @@ namespace {
 
 using bbrnash::testing::Loopback;
 
-std::unique_ptr<CongestionControl> make_vegas(std::size_t) {
-  return std::make_unique<Vegas>();
+CcVariant make_vegas(std::size_t) {
+  return CcVariant{Vegas{}};
 }
 
 TEST(Vegas, FillsAnEmptyLink) {
@@ -42,7 +42,7 @@ TEST(Vegas, BaseRttLearned) {
               make_vegas};
   lb.start_all();
   lb.sim().run_until(from_sec(5));
-  const auto& vegas = dynamic_cast<const Vegas&>(lb.cc(0));
+  const auto& vegas = lb.cc(0).get<Vegas>();
   EXPECT_NEAR(to_ms(vegas.base_rtt()), 40.0, 2.0);
 }
 
@@ -50,9 +50,9 @@ TEST(Vegas, CedesToReno) {
   // The classic result the related-work games rest on: loss-based Reno
   // starves delay-based Vegas in a shared drop-tail queue.
   Loopback lb{mbps(20), 4 * bdp_bytes(mbps(20), from_ms(40)), from_ms(40), 2,
-              [](std::size_t i) -> std::unique_ptr<CongestionControl> {
-                if (i == 0) return std::make_unique<Reno>();
-                return std::make_unique<Vegas>();
+              [](std::size_t i) -> CcVariant {
+                if (i == 0) return CcVariant{Reno{}};
+                return CcVariant{Vegas{}};
               }};
   lb.start_all();
   lb.sim().run_until(from_sec(30));
@@ -99,8 +99,8 @@ TEST(Vegas, RtoRestartsSlowStart) {
 }
 
 TEST(Vegas, FactoryCreatesIt) {
-  const auto cc = make_congestion_control(CcKind::kVegas, CcConfig{});
-  EXPECT_EQ(cc->name(), "vegas");
+  const CcVariant cc = make_cc_variant(CcKind::kVegas, CcConfig{});
+  EXPECT_NO_THROW(static_cast<void>(cc.get<Vegas>()));
   EXPECT_STREQ(to_string(CcKind::kVegas), "vegas");
 }
 

@@ -9,8 +9,8 @@ namespace {
 
 using bbrnash::testing::Loopback;
 
-std::unique_ptr<CongestionControl> make_vivace(std::size_t) {
-  return std::make_unique<Vivace>();
+CcVariant make_vivace(std::size_t) {
+  return CcVariant{Vivace{}};
 }
 
 TEST(Vivace, RampsToLinkRateAlone) {

@@ -13,23 +13,9 @@
 namespace bbrnash {
 namespace {
 
-/// A congestion control with externally fixed cwnd and pacing, recording
-/// every callback it receives.
-class ScriptedCc final : public CongestionControl {
- public:
-  void on_start(TimeNs) override {}
-  void on_ack(const AckEvent& ev) override { acks.push_back(ev); }
-  void on_congestion_event(const LossEvent& ev) override {
-    congestion_events.push_back(ev);
-  }
-  void on_packet_lost(TimeNs, Bytes lost, Bytes) override {
-    lost_bytes += lost;
-  }
-  void on_rto(TimeNs) override { ++rtos; }
-  [[nodiscard]] Bytes cwnd() const override { return cwnd_bytes; }
-  [[nodiscard]] BytesPerSec pacing_rate() const override { return pacing; }
-  [[nodiscard]] std::string name() const override { return "scripted"; }
-
+/// What the scripted congestion control reports and records. The harness
+/// owns it, so tests steer and inspect it while the sender holds the CC.
+struct Script {
   Bytes cwnd_bytes = 10 * kDefaultMss;
   BytesPerSec pacing = kNoPacing;
   std::vector<AckEvent> acks;
@@ -38,17 +24,39 @@ class ScriptedCc final : public CongestionControl {
   int rtos = 0;
 };
 
+/// A congestion control with externally fixed cwnd and pacing, recording
+/// every callback it receives into its Script.
+class ScriptedCc {
+ public:
+  explicit ScriptedCc(Script* script) : s_(script) {}
+
+  void on_start(TimeNs) {}
+  void on_ack(const AckEvent& ev) { s_->acks.push_back(ev); }
+  void on_congestion_event(const LossEvent& ev) {
+    s_->congestion_events.push_back(ev);
+  }
+  void on_packet_lost(TimeNs, Bytes lost, Bytes) { s_->lost_bytes += lost; }
+  void on_rto(TimeNs) { ++s_->rtos; }
+  [[nodiscard]] Bytes cwnd() const { return s_->cwnd_bytes; }
+  [[nodiscard]] BytesPerSec pacing_rate() const { return s_->pacing; }
+  [[nodiscard]] int pacing_burst_segments() const { return kTsoBurstSegments; }
+
+ private:
+  Script* s_;
+};
+
+using ScriptedSender = BasicSender<ScriptedCc>;
+
 struct Harness {
   Simulator sim;
-  ScriptedCc* cc = nullptr;  // owned by sender
-  std::unique_ptr<Sender> sender;
+  Script script;
+  Script* cc = &script;
+  std::unique_ptr<ScriptedSender> sender;
   std::vector<Packet> wire;
 
   explicit Harness(SenderConfig cfg = {}) {
-    auto cc_owned = std::make_unique<ScriptedCc>();
-    cc = cc_owned.get();
-    sender = std::make_unique<Sender>(
-        sim, 0, cfg, std::move(cc_owned),
+    sender = std::make_unique<ScriptedSender>(
+        sim, 0, cfg, ScriptedCc{&script},
         [this](const Packet& p) { wire.push_back(p); });
   }
 

@@ -7,7 +7,7 @@
 #include <memory>
 #include <vector>
 
-#include "cc/congestion_control.hpp"
+#include "cc/cc_variant.hpp"
 #include "flow/receiver.hpp"
 #include "flow/sender.hpp"
 #include "net/bottleneck_link.hpp"
@@ -21,8 +21,7 @@ class Loopback {
   /// `make_cc(i)` builds the congestion control for flow i.
   Loopback(BytesPerSec capacity, Bytes buffer_bytes, TimeNs rtt,
            std::size_t flows,
-           const std::function<std::unique_ptr<CongestionControl>(std::size_t)>&
-               make_cc)
+           const std::function<CcVariant(std::size_t)>& make_cc)
       : link_(sim_, capacity, buffer_bytes,
               static_cast<std::uint32_t>(flows)) {
     endpoints_.reserve(flows);
@@ -53,7 +52,7 @@ class Loopback {
   Simulator& sim() { return sim_; }
   BottleneckLink& link() { return link_; }
   Sender& sender(std::size_t i) { return *endpoints_.at(i)->sender; }
-  CongestionControl& cc(std::size_t i) {
+  const CcVariant& cc(std::size_t i) const {
     return endpoints_.at(i)->sender->cc();
   }
 

@@ -17,7 +17,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cc/congestion_control.hpp"
+#include "cc/cc_variant.hpp"
 #include "flow/receiver.hpp"
 #include "flow/sender.hpp"
 #include "net/bottleneck_link.hpp"
@@ -89,7 +89,7 @@ SteadyAllocs run_dumbbell(int bbr_flows, int cubic_flows, BytesPerSec capacity,
                             : CcKind::kCubic;
     ImpairmentStage<Packet>* stage = stages[i].get();
     senders.push_back(std::make_unique<Sender>(
-        sim, i, SenderConfig{}, make_congestion_control(kind, cfg),
+        sim, i, SenderConfig{}, make_cc_variant(kind, cfg),
         [&link, stage](const Packet& p) {
           if (stage != nullptr) {
             stage->send(p);

@@ -5,8 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "cc/bbr.hpp"
-#include "cc/cubic.hpp"
+#include "cc/cc_variant.hpp"
 #include "exp/cli_flags.hpp"
 #include "flow/receiver.hpp"
 #include "flow/sender.hpp"
@@ -44,14 +43,10 @@ int main(int argc, char** argv) try {
     // The reverse half takes the odd nanosecond, as in execute_scenario.
     ep.fwd = std::make_unique<DelayLine<Packet>>(sim, rtt / 2);
     ep.rev = std::make_unique<DelayLine<Ack>>(sim, rtt - rtt / 2);
-    std::unique_ptr<CongestionControl> cc;
-    if (i == 0) {
-      cc = std::make_unique<Cubic>();
-    } else {
-      cc = std::make_unique<Bbr>();
-    }
-    ep.snd = std::make_unique<Sender>(sim, i, SenderConfig{}, std::move(cc),
-                                      [&link](const Packet& p) { link.send(p); });
+    ep.snd = std::make_unique<Sender>(
+        sim, i, SenderConfig{},
+        make_cc_variant(i == 0 ? CcKind::kCubic : CcKind::kBbr, CcConfig{}),
+        [&link](const Packet& p) { link.send(p); });
     ep.fwd->set_sink([&eps, i](const Packet& p) { eps[i].rcv->on_packet(p, 0); });
     ep.rcv->set_ack_sink([&eps, i](const Ack& a) { eps[i].rev->send(a); });
     ep.rev->set_sink([&eps, i](const Ack& a) { eps[i].snd->on_ack(a); });
@@ -67,9 +62,9 @@ int main(int argc, char** argv) try {
   Bytes last_del[2] = {0, 0};
   for (double t = 1.0; t <= dur_s; t += 1.0) {
     sim.schedule_at(from_sec(t), [&, t] {
-      const auto* bbr = dynamic_cast<const Bbr*>(&eps[1].snd->cc());
+      const Bbr& bbr = eps[1].snd->cc().get<Bbr>();
       const char* st = "?";
-      switch (bbr->state()) {
+      switch (bbr.state()) {
         case Bbr::State::kStartup: st = "STARTUP"; break;
         case Bbr::State::kDrain: st = "DRAIN"; break;
         case Bbr::State::kProbeBw: st = "PROBEBW"; break;
@@ -82,8 +77,8 @@ int main(int argc, char** argv) try {
       std::printf(
           "%5.0f %7.2f %7.2f %7ld %7ld %-8s %7.2f %7.2f %5.1f %8ld %8ld %5lu %5lu %3lu %3lu\n",
           t, d0, d1, eps[0].snd->cc().cwnd() / kDefaultMss,
-          eps[1].snd->cc().cwnd() / kDefaultMss, st, to_mbps(bbr->btlbw()),
-          to_ms(bbr->rtprop()),
+          eps[1].snd->cc().cwnd() / kDefaultMss, st, to_mbps(bbr.btlbw()),
+          to_ms(bbr.rtprop()),
           100.0 * static_cast<double>(link.queue().occupied_bytes()) /
               static_cast<double>(buffer),
           link.queue().flow_occupancy(0) / 1500,

@@ -836,21 +836,19 @@ void rule_process_control(const FileContext& ctx) {
 }
 
 void rule_cc_virtual(const FileContext& ctx) {
-  // The CC hot path is devirtualized (CcVariant, see DESIGN.md §6a): a new
-  // `virtual` member under src/cc/ silently reopens the indirect-dispatch
-  // cost the variant removed, and — worse — a virtual added to a concrete
-  // CCA would be invisible through the variant's direct dispatch. The
-  // CongestionControl interface itself and the variant adapter around it
-  // are the two sanctioned homes for virtual dispatch; anywhere else needs
-  // a justifying allow annotation.
+  // CC dispatch is CcVariant's switch over concrete algorithms (see
+  // DESIGN.md §6a), with no base class: a `virtual` member under src/cc/
+  // would reopen the indirect-call cost the variant removed, and one added
+  // to a concrete CCA would be bypassed by the variant's direct calls. Any
+  // virtual there needs a justifying allow annotation.
   if (!starts_with(ctx.relpath, "src/cc/")) return;
-  if (ctx.relpath == "src/cc/congestion_control.hpp") return;
   for (std::size_t i = 0; i < ctx.f.code.size(); ++i) {
     for_each_token(ctx.f.code[i], "virtual", [&](std::size_t) {
       ctx.add("cc-virtual", static_cast<int>(i + 1),
-              "virtual member under src/cc/: the CC hot path is "
-              "devirtualized (cc_variant.hpp); extend the variant instead, "
-              "or justify the virtual with an allow annotation");
+              "virtual member under src/cc/: CC dispatch is CcVariant's "
+              "switch over concrete algorithms (cc_variant.hpp); add an "
+              "alternative to it, or justify the virtual with an allow "
+              "annotation");
     });
   }
 }
