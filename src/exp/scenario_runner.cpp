@@ -161,13 +161,22 @@ struct Delivery {
 };
 
 // The dumbbell's per-packet hops, wired by direct calls so the chain
-//   link -> forward path -> receiver -> [ACK impairment] -> reverse path
-//   -> sender
+//   sender -> access path -> [impairment] -> link -> forward path
+//   -> receiver -> [ACK impairment] -> reverse path -> sender
 // inlines end to end (see net/sink.hpp). Each hop is a few pointers.
+
+struct AccessPath;
+
+/// Sender exit: the packet enters its flow's access path.
+struct AccessEntry {
+  AccessPath* path = nullptr;
+  void operator()(const Packet& pkt) const;
+};
+using FlowSender = BasicSender<CcVariant, AccessEntry>;
 
 /// Reverse-path exit: the ACK reaches its sender.
 struct AckArrival {
-  Sender* sender = nullptr;
+  FlowSender* sender = nullptr;
   void operator()(const Ack& ack) const { sender->on_ack(ack); }
 };
 using ReversePath = DelayLine<Ack, AckArrival>;
@@ -216,13 +225,15 @@ struct LinkExit {
 };
 using Link = BasicBottleneckLink<LinkExit>;
 
-/// Sender exit: a flow's access path to the bottleneck. Access jitter
-/// (see Scenario::access_jitter) has a monotonicity guard so a flow's own
+/// A flow's access path to the bottleneck. Access jitter (see
+/// Scenario::access_jitter) has a monotonicity guard so a flow's own
 /// packets are never reordered (deliberate reordering is the impairment
 /// stage's job); the packet then enters the flow's impairment stage, or the
 /// bottleneck when the path is clean. The audit ledger and the flight
-/// recorder are noted when attached. Access events capture one pointer plus
-/// the packet, which keeps them inside the event record's inline buffer.
+/// recorder are noted when attached. The guard makes the flow's arrival
+/// times strictly increasing, so they ride the flow's own private lane
+/// rather than the timing wheel. Access events capture one pointer plus
+/// the packet, which keeps them inside the lane entry's inline buffer.
 struct AccessPath {
   Simulator* sim = nullptr;
   Link* link = nullptr;
@@ -232,6 +243,7 @@ struct AccessPath {
   FlowId flow = 0;
   Rng rng;
   TimeNs jitter = 1;
+  LaneId lane = 0;  ///< a private lane (Simulator::private_lane)
   TimeNs last_arrival = 0;
 
   void transmit(const Packet& pkt) {
@@ -244,7 +256,7 @@ struct AccessPath {
         last_arrival + 1,
         sim->now() + static_cast<TimeNs>(rng.next_below(
                          static_cast<std::uint64_t>(jitter))));
-    sim->schedule_at(last_arrival, [this, pkt] { arrive(pkt); });
+    sim->schedule_lane_at(lane, last_arrival, [this, pkt] { arrive(pkt); });
   }
 
   void arrive(const Packet& pkt) const {
@@ -256,6 +268,10 @@ struct AccessPath {
     }
   }
 };
+
+inline void AccessEntry::operator()(const Packet& pkt) const {
+  path->transmit(pkt);
+}
 
 /// Stateless seed mixer (SplitMix64 finalizer) for per-flow impairment
 /// streams. Deliberately NOT drawn from the scenario's root Rng: a pristine
@@ -373,7 +389,7 @@ ExecOutcome execute_scenario(const Scenario& scenario,
     }
   }
 
-  std::vector<std::unique_ptr<Sender>> senders;
+  std::vector<std::unique_ptr<FlowSender>> senders;
   std::vector<std::unique_ptr<FlowReceiver>> receivers;
   std::vector<std::unique_ptr<ForwardPath>> fwd_lines;
   std::vector<std::unique_ptr<ReversePath>> rev_lines;
@@ -411,7 +427,8 @@ ExecOutcome execute_scenario(const Scenario& scenario,
                            recorder, i, rng.fork(),
                            std::max<TimeNs>(1, scenario.access_jitter >= 0
                                                    ? scenario.access_jitter
-                                                   : default_jitter)};
+                                                   : default_jitter),
+                           sim.private_lane()};
   }
 
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -431,10 +448,9 @@ ExecOutcome execute_scenario(const Scenario& scenario,
     SenderConfig snd_cfg;
     snd_cfg.mss = scenario.mss;
     snd_cfg.transfer_bytes = spec.transfer_bytes;
-    AccessPath* path = &access[i];
-    senders.push_back(std::make_unique<Sender>(
+    senders.push_back(std::make_unique<FlowSender>(
         sim, i, snd_cfg, make_cc_variant(spec.cc, cc_cfg),
-        [path](const Packet& pkt) { path->transmit(pkt); }));
+        AccessEntry{&access[i]}));
 
     ReversePath* rev = rev_lines[i].get();
     fwd_lines[i]->set_sink(PacketArrival{receivers[i].get(), recorder, &sim});
@@ -640,7 +656,7 @@ ExecOutcome execute_scenario(const Scenario& scenario,
     fr.cc = scenario.flows[i].cc;
     fr.base_rtt = scenario.flows[i].base_rtt;
 
-    const Sender& s = *senders[i];
+    const FlowSender& s = *senders[i];
     FlowStats st;
     st.goodput_bps =
         window_sec > 0.0

@@ -14,9 +14,11 @@
 // transfers).
 //
 // `Cc` is the congestion control, held by value and called directly (see
-// cc/cc_variant.hpp for the callbacks it must provide). Sender is the
-// CcVariant instantiation, compiled once in sender.cpp; tests instantiate
-// scripted doubles.
+// cc/cc_variant.hpp for the callbacks it must provide). `Transmit` is the
+// exit hop, any callable taking `const Packet&`; a concrete hop type lets
+// maybe_send() inline into it. Sender is the CcVariant instantiation with a
+// std::function exit, compiled once in sender.cpp; the scenario runner
+// plugs in its access path, and tests instantiate scripted doubles.
 #pragma once
 
 #include <algorithm>
@@ -55,13 +57,13 @@ struct SenderConfig {
   Bytes transfer_bytes = 0;
 };
 
-template <class Cc>
+template <class Cc, class Transmit = std::function<void(const Packet&)>>
 class BasicSender {
  public:
   /// `transmit` hands a packet to the network (the bottleneck ingress);
   /// its return value is ignored — drops are discovered via ACKs, exactly
   /// like a real endpoint.
-  using TransmitFn = std::function<void(const Packet&)>;
+  using TransmitFn = Transmit;
 
   BasicSender(Simulator& sim, FlowId flow, SenderConfig cfg, Cc cc,
               TransmitFn transmit)
@@ -272,8 +274,8 @@ extern template class BasicSender<CcVariant>;
 
 // --- Member definitions ----------------------------------------------------
 
-template <class Cc>
-void BasicSender<Cc>::start(TimeNs at) {
+template <class Cc, class Transmit>
+void BasicSender<Cc, Transmit>::start(TimeNs at) {
   assert(!started_);
   started_ = true;
   sim_.schedule_at(at, [this] {
@@ -283,8 +285,8 @@ void BasicSender<Cc>::start(TimeNs at) {
   });
 }
 
-template <class Cc>
-void BasicSender<Cc>::begin_measurement() {
+template <class Cc, class Transmit>
+void BasicSender<Cc, Transmit>::begin_measurement() {
   measuring_ = true;
   rtt_stats_.reset();
   inflight_avg_ = TimeWeightedAverage{};
@@ -294,23 +296,23 @@ void BasicSender<Cc>::begin_measurement() {
   rtos_mark_ = rtos_;
 }
 
-template <class Cc>
-void BasicSender<Cc>::note_inflight_change() {
+template <class Cc, class Transmit>
+void BasicSender<Cc, Transmit>::note_inflight_change() {
   if (measuring_) {
     inflight_avg_.update(to_sec(sim_.now()), static_cast<double>(inflight_));
   }
 }
 
-template <class Cc>
-auto BasicSender<Cc>::record_for(SeqNo seq) -> TxRecord* {
+template <class Cc, class Transmit>
+auto BasicSender<Cc, Transmit>::record_for(SeqNo seq) -> TxRecord* {
   if (seq < base_seq_) return nullptr;
   const auto idx = static_cast<std::size_t>(seq - base_seq_);
   if (idx >= records_.size()) return nullptr;
   return &records_[idx];
 }
 
-template <class Cc>
-void BasicSender<Cc>::maybe_send() {
+template <class Cc, class Transmit>
+void BasicSender<Cc, Transmit>::maybe_send() {
   // Every gate input is loop-invariant: the loop never runs a CC callback
   // and never advances the clock (transmit_ only enqueues/schedules), so
   // cwnd, now, the pacing rate, and the derived burst geometry are read
@@ -382,8 +384,8 @@ void BasicSender<Cc>::maybe_send() {
   }
 }
 
-template <class Cc>
-void BasicSender<Cc>::transmit_seq(SeqNo seq, bool is_retransmit) {
+template <class Cc, class Transmit>
+void BasicSender<Cc, Transmit>::transmit_seq(SeqNo seq, bool is_retransmit) {
   const TimeNs now = sim_.now();
 
   if (!is_retransmit) {
@@ -425,8 +427,8 @@ void BasicSender<Cc>::transmit_seq(SeqNo seq, bool is_retransmit) {
   if (!rto_armed_) arm_rto();
 }
 
-template <class Cc>
-void BasicSender<Cc>::on_ack(const Ack& ack) {
+template <class Cc, class Transmit>
+void BasicSender<Cc, Transmit>::on_ack(const Ack& ack) {
   const TimeNs now = sim_.now();
   ++acks_received_;
 
@@ -521,8 +523,8 @@ void BasicSender<Cc>::on_ack(const Ack& ack) {
   maybe_send();
 }
 
-template <class Cc>
-void BasicSender<Cc>::detect_losses() {
+template <class Cc, class Transmit>
+void BasicSender<Cc, Transmit>::detect_losses() {
   if (highest_delivered_order_ < static_cast<std::uint64_t>(cfg_.dupthresh)) {
     return;
   }
@@ -537,8 +539,8 @@ void BasicSender<Cc>::detect_losses() {
   if (newly_lost > 0) enter_recovery_if_needed(newly_lost);
 }
 
-template <class Cc>
-void BasicSender<Cc>::mark_lost(SeqNo seq) {
+template <class Cc, class Transmit>
+void BasicSender<Cc, Transmit>::mark_lost(SeqNo seq) {
   TxRecord* rec = record_for(seq);
   assert(rec != nullptr && rec->state == TxState::kInflight);
   rec->state = TxState::kLost;
@@ -550,8 +552,8 @@ void BasicSender<Cc>::mark_lost(SeqNo seq) {
   cc_.on_packet_lost(sim_.now(), cfg_.mss, inflight_);
 }
 
-template <class Cc>
-void BasicSender<Cc>::enter_recovery_if_needed(Bytes newly_lost) {
+template <class Cc, class Transmit>
+void BasicSender<Cc, Transmit>::enter_recovery_if_needed(Bytes newly_lost) {
   (void)newly_lost;
   if (in_recovery_) return;
   in_recovery_ = true;
@@ -564,14 +566,14 @@ void BasicSender<Cc>::enter_recovery_if_needed(Bytes newly_lost) {
   cc_.on_congestion_event(ev);
 }
 
-template <class Cc>
-TimeNs BasicSender<Cc>::current_rto() const {
+template <class Cc, class Transmit>
+TimeNs BasicSender<Cc, Transmit>::current_rto() const {
   if (srtt_ == kTimeNone) return cfg_.initial_rto;
   return std::max(cfg_.min_rto, srtt_ + 4 * rttvar_);
 }
 
-template <class Cc>
-void BasicSender<Cc>::arm_rto() {
+template <class Cc, class Transmit>
+void BasicSender<Cc, Transmit>::arm_rto() {
   assert(!rto_armed_);
   if (inflight_by_order_.empty()) return;
   // Lazy timer, semantics of Linux's tcp_rearm_rto (restart relative to the
@@ -587,8 +589,8 @@ void BasicSender<Cc>::arm_rto() {
   rto_armed_ = true;
 }
 
-template <class Cc>
-void BasicSender<Cc>::on_rto_fired() {
+template <class Cc, class Transmit>
+void BasicSender<Cc, Transmit>::on_rto_fired() {
   if (inflight_by_order_.empty()) return;  // everything was delivered
   const TimeNs legitimate =
       last_progress_time_ + (current_rto() << rto_backoff_);
@@ -614,8 +616,8 @@ void BasicSender<Cc>::on_rto_fired() {
   if (!rto_armed_ && !inflight_by_order_.empty()) arm_rto();
 }
 
-template <class Cc>
-void BasicSender<Cc>::update_rtt(TimeNs sample) {
+template <class Cc, class Transmit>
+void BasicSender<Cc, Transmit>::update_rtt(TimeNs sample) {
   if (srtt_ == kTimeNone) {
     srtt_ = sample;
     rttvar_ = sample / 2;

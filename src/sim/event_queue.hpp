@@ -28,21 +28,26 @@
 //     inserted into the scratch's pending region at their sorted
 //     position, which preserves the exact heap ordering semantics:
 //     among pending events the fire order is always (when, sequence).
-//   * Fixed-delay FIFO lanes carry the per-packet hops whose delay is a
-//     constant of the hop (propagation on a DelayLine, serialization on
-//     the bottleneck). lane(delay) returns the lane shared by every user
-//     with that delay; schedule_lane() appends (now + delay, sequence,
-//     callable) to the lane's ring, constructing the callable in place in
-//     the ring entry's slot. Every push happens at the current clock,
-//     which never decreases, so each ring is already sorted by (when,
-//     sequence) and needs no wheel, chain, or sort at all. A small
-//     binary heap over the non-empty lanes (keyed by each lane's head)
-//     merges them, and the run loop fires whichever head is earlier by
-//     (when, sequence): the wheel's or the lane heap's. Sequences come from
-//     the one counter schedule() uses, so the fire order is exactly that
-//     of a single queue holding every event. The wheel cursor is loaded
-//     only up to the lane head's bucket, so it never runs ahead of the
-//     clock by more than a bucket while lanes are busy.
+//   * FIFO lanes carry the per-packet hops. A lane is a ring whose pushes
+//     carry non-decreasing fire times: push_lane() appends (when, sequence,
+//     callable), constructing the callable in place in the ring entry's
+//     slot, and requires `when` to be no earlier than the lane's previous
+//     push. Sequences grow with every push too, so each ring is already
+//     sorted by (when, sequence) and needs no wheel, chain, or sort at all.
+//     Two kinds of lane exist. lane(delay) returns the fixed-delay lane
+//     shared by every user with that delay (propagation on a DelayLine,
+//     serialization on the bottleneck): schedule_lane() pushes at the
+//     current clock plus the delay, and the clock never decreases.
+//     private_lane() returns a lane nobody else can reach, for a hop whose
+//     delay varies but whose fire times never go backwards (a flow's
+//     jittered access path). A small binary heap over the non-empty lanes
+//     (keyed by each lane's head) merges them, and the run loop fires
+//     whichever head is earlier by (when, sequence): the wheel's or the
+//     lane heap's. Sequences come from the one counter schedule() uses, so
+//     the fire order is exactly that of a single queue holding every
+//     event. The wheel cursor is loaded only up to the lane head's bucket,
+//     so it never runs ahead of the clock by more than a bucket while lanes
+//     are busy.
 //
 // Dispatch runs the callable in place: payload slots live in fixed-size
 // chunks that never move once allocated, so run_one() fires the event
@@ -63,7 +68,8 @@
 //
 // Lane events fire in place from their ring the same way, and their entry
 // is released only after the callable returns. A lane's ring is a circle
-// of fixed-size segments: a full ring splices in one more segment, so
+// of fixed-size segments (64 entries on a shared lane, 16 on a private
+// one): a full ring splices in one more segment, so
 // entries never move (a running callable's captures stay put however many
 // events it pushes) and growth leaves no freed copies behind; once the
 // circle reaches the lane's high-water mark it is reused forever.
@@ -99,7 +105,7 @@
 namespace bbrnash {
 
 using EventId = std::uint64_t;
-/// Handle of a fixed-delay FIFO lane (see EventQueue::lane).
+/// Handle of a FIFO lane (see EventQueue::lane and private_lane).
 using LaneId = std::uint32_t;
 
 /// Inline storage per event payload, in pool slots and lane entries
@@ -152,24 +158,45 @@ class EventQueue {
   static_assert(std::is_trivially_copyable_v<LaneEntry>);
 
   /// One segment of a lane's ring; segments link into a circle.
-  static constexpr std::uint32_t kSegmentEntries = 64;
   struct Segment {
-    LaneEntry entries[kSegmentEntries];
+    std::unique_ptr<LaneEntry[]> entries;  ///< the lane's segment_entries
     Segment* next;
   };
 
-  /// A fixed-delay lane: live entries run from (head, head_at) forward
-  /// around the segment circle to (tail, tail_at), sorted by construction.
+  /// Entries per segment. A shared lane queues a whole delay's worth of
+  /// packets. A private lane rarely holds more than one burst, but there is
+  /// one per flow and each owns at least one segment, so its segments are
+  /// smaller.
+  static constexpr std::uint32_t kSharedSegmentEntries = 64;
+  static constexpr std::uint32_t kPrivateSegmentEntries = 16;
+
+  /// The delay a private lane carries. lane() only takes delays >= 0, so it
+  /// never hands such a lane out.
+  static constexpr TimeNs kPrivateLane = -1;
+
+  /// A lane: live entries run from (head, head_at) forward around the
+  /// segment circle to (tail, tail_at), sorted by construction.
   struct Lane {
-    TimeNs delay = 0;
+    Lane(TimeNs d, std::uint32_t entries)
+        : delay(d), segment_entries(entries), tail_at(entries) {}
+    TimeNs delay;  ///< schedule_lane()'s offset; kPrivateLane if private
     Segment* head = nullptr;  ///< null until the first push
     Segment* tail = nullptr;
+    /// head->entries and tail->entries, kept so that reaching an entry
+    /// costs no more than an index.
+    LaneEntry* head_entries = nullptr;
+    LaneEntry* tail_entries = nullptr;
+    std::uint32_t segment_entries;
     std::uint32_t head_at = 0;
-    /// Next write index in tail; kSegmentEntries (also the state before the
+    /// Next write index in tail; segment_entries (also the state before the
     /// first push) moves the tail on to the next segment first.
-    std::uint32_t tail_at = kSegmentEntries;
+    std::uint32_t tail_at;
     std::uint32_t count = 0;
-    [[nodiscard]] LaneEntry& front() const { return head->entries[head_at]; }
+    [[nodiscard]] LaneEntry& front() const { return head_entries[head_at]; }
+    /// The latest push. Pre: count != 0 (so tail_at >= 1).
+    [[nodiscard]] const LaneEntry& back() const {
+      return tail_entries[tail_at - 1];
+    }
   };
 
   /// Lane-heap element: a non-empty lane keyed by its head entry.
@@ -238,7 +265,7 @@ class EventQueue {
       Segment* seg = l.head;
       std::uint32_t at = l.head_at;
       for (std::uint32_t i = 0; i < l.count; ++i) {
-        if (at == kSegmentEntries) {
+        if (at == l.segment_entries) {
           seg = seg->next;
           at = 0;
         }
@@ -275,29 +302,47 @@ class EventQueue {
     if (pending_.erase(id) != 0) ++dead_;
   }
 
-  /// The lane shared by every user whose events fire exactly `delay` after
-  /// they are scheduled. Lanes live as long as the queue; lookups are a
-  /// short linear scan, so callers keep the id rather than look it up per
-  /// event.
+  /// The lane shared by every user whose events fire exactly `delay`
+  /// (>= 0) after they are scheduled. Lanes live as long as the queue;
+  /// lookups are a short linear scan, so callers keep the id rather than
+  /// look it up per event.
   [[nodiscard]] LaneId lane(TimeNs delay) {
+    assert(delay >= 0);
     for (std::size_t i = 0; i < lanes_.size(); ++i) {
       if (lanes_[i].delay == delay) return static_cast<LaneId>(i);
     }
-    lanes_.emplace_back();
-    lanes_.back().delay = delay;
+    lanes_.emplace_back(delay, kSharedSegmentEntries);
     return static_cast<LaneId>(lanes_.size() - 1);
   }
 
-  /// Schedules a non-cancellable event at `now` + the lane's delay. Pre:
-  /// `now` is not less than the `now` of any earlier push onto this lane
-  /// (true of a simulation clock), which keeps the ring sorted.
+  /// A new lane that lane() never returns, for one owner whose fire times
+  /// never go backwards; the owner pushes with push_lane().
+  [[nodiscard]] LaneId private_lane() {
+    lanes_.emplace_back(kPrivateLane, kPrivateSegmentEntries);
+    return static_cast<LaneId>(lanes_.size() - 1);
+  }
+
+  /// Schedules a non-cancellable event at `now` + the shared lane's delay.
+  /// Pre: `now` is not less than the `now` of any earlier push onto this
+  /// lane (true of a simulation clock).
   template <typename F>
   void schedule_lane(LaneId id, TimeNs now, F&& fn) {
+    assert(lanes_[id].delay != kPrivateLane && "private lanes take push_lane");
+    push_lane(id, now + lanes_[id].delay, std::forward<F>(fn));
+  }
+
+  /// Appends a non-cancellable event firing at `when` to lane `id`. Pre:
+  /// `when` is not earlier than the lane's previous push, which keeps the
+  /// ring sorted, nor than the current event's time.
+  template <typename F>
+  void push_lane(LaneId id, TimeNs when, F&& fn) {
     Lane& l = lanes_[id];
-    if (l.tail_at == kSegmentEntries) advance_tail(l);
-    LaneEntry& e = l.tail->entries[l.tail_at];
+    assert((l.count == 0 || when >= l.back().when) &&
+           "lane pushes must not go back in time");
+    if (l.tail_at == l.segment_entries) advance_tail(l);
+    LaneEntry& e = l.tail_entries[l.tail_at];
     e.meta = make_meta(false);
-    e.when = now + l.delay;
+    e.when = when;
     fill(e.slot, std::forward<F>(fn));
     ++l.tail_at;
     if (l.count++ == 0) push_lane_key(LaneKey{e.when, e.meta, id});
@@ -833,11 +878,14 @@ class EventQueue {
   void advance_tail(Lane& l) {
     Segment* next = l.tail == nullptr ? nullptr : l.tail->next;
     if (next == nullptr || next == l.head) {
-      segments_.push_back(std::make_unique_for_overwrite<Segment>());
+      segments_.push_back(std::make_unique<Segment>(Segment{
+          std::make_unique_for_overwrite<LaneEntry[]>(l.segment_entries),
+          nullptr}));
       Segment* fresh = segments_.back().get();
       if (l.tail == nullptr) {
         fresh->next = fresh;
         l.head = fresh;
+        l.head_entries = fresh->entries.get();
       } else {
         fresh->next = next;
         l.tail->next = fresh;
@@ -845,6 +893,7 @@ class EventQueue {
       next = fresh;
     }
     l.tail = next;
+    l.tail_entries = next->entries.get();
     l.tail_at = 0;
   }
 
@@ -863,24 +912,25 @@ class EventQueue {
 
   /// Drops lane `id`'s head entry (its callable already fired or moved
   /// out) and re-keys the lane heap. Pre: `id` is the lane-heap top — no
-  /// push can overtake it, since every push is keyed at or after the clock
-  /// with a fresh, larger sequence.
+  /// push can overtake it, since every push (onto any lane) is keyed at or
+  /// after the clock with a fresh, larger sequence.
   void pop_lane_front(LaneId id) {
     Lane& l = lanes_[id];
     assert(!lane_heap_.empty() && lane_heap_[0].lane == id);
     --lane_n_;
     LaneKey key;
     if (--l.count != 0) {
-      if (++l.head_at == kSegmentEntries) {
+      if (++l.head_at == l.segment_entries) {
         l.head = l.head->next;
+        l.head_entries = l.head->entries.get();
         l.head_at = 0;
       }
       const LaneEntry& h = l.front();
       key = LaneKey{h.when, h.meta, id};
       // The entry after the new head was written a whole delay ago and is
       // long out of cache; start pulling it in now, one fire ahead.
-      const LaneEntry& after = l.head_at + 1 < kSegmentEntries
-                                   ? l.head->entries[l.head_at + 1]
+      const LaneEntry& after = l.head_at + 1 < l.segment_entries
+                                   ? l.head_entries[l.head_at + 1]
                                    : l.head->next->entries[0];
       __builtin_prefetch(&after);
       __builtin_prefetch(&after.slot.storage[kEventInlineBytes - 1]);
@@ -888,6 +938,7 @@ class EventQueue {
       // Empty: restart at the head segment's first entry, so a lane that
       // keeps draining (the link's, one packet in service) never walks.
       l.tail = l.head;
+      l.tail_entries = l.head_entries;
       l.head_at = 0;
       l.tail_at = 0;
       key = lane_heap_.back();

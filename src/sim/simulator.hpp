@@ -5,11 +5,16 @@
 //   sim.schedule_in(from_ms(10), [&] { ... });
 //   sim.run_until(from_sec(120));
 //
-// Hops whose delay is a constant of the hop (a propagation delay, one
-// packet's serialization time) schedule onto a fixed-delay FIFO lane
-// instead of the timing wheel:
+// Per-packet hops schedule onto FIFO lanes instead of the timing wheel. A
+// lane's pushes carry non-decreasing fire times. A hop whose delay is a
+// constant of the hop (a propagation delay, one packet's serialization
+// time) shares the fixed-delay lane for that delay:
 //   const LaneId lane = sim.lane(from_ms(20));  // once, at wiring time
 //   sim.schedule_lane(lane, [&] { ... });       // fires at now() + 20 ms
+// A hop whose delay varies but whose fire times never go backwards (a
+// flow's jittered access path) takes a lane of its own:
+//   const LaneId own = sim.private_lane();      // once, at wiring time
+//   sim.schedule_lane_at(own, t, [&] { ... });  // t >= the previous push
 // Lane and wheel events share one (time, schedule order) total order, so
 // which path an event takes changes its cost, never when it fires.
 #pragma once
@@ -51,11 +56,24 @@ class Simulator {
     return queue_.lane(delay);
   }
 
-  /// Schedules `fn` on `lane`, to fire its delay after now(). Same inline
-  /// payload rules as schedule_at.
+  /// A new lane that lane() never returns. Its pushes go through
+  /// schedule_lane_at().
+  [[nodiscard]] LaneId private_lane() { return queue_.private_lane(); }
+
+  /// Schedules `fn` on the shared `lane`, to fire its delay after now().
+  /// Same inline payload rules as schedule_at.
   template <typename F>
   void schedule_lane(LaneId lane, F&& fn) {
     queue_.schedule_lane(lane, now_, std::forward<F>(fn));
+  }
+
+  /// Schedules `fn` on `lane` at absolute time `when`: no earlier than
+  /// now() nor than the lane's previous push. Same inline payload rules as
+  /// schedule_at.
+  template <typename F>
+  void schedule_lane_at(LaneId lane, TimeNs when, F&& fn) {
+    assert(when >= now_ && "cannot schedule into the past");
+    queue_.push_lane(lane, when, std::forward<F>(fn));
   }
 
   /// Cancellable variants, for timers (e.g., RTO) that are usually rearmed.

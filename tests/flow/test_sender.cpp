@@ -3,6 +3,7 @@
 // back manually at chosen times).
 #include "flow/sender.hpp"
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -280,6 +281,84 @@ TEST(Sender, PriorDeliveredSnapshotsDriveRoundCounting) {
   EXPECT_EQ(h.cc->acks[0].delivered, kDefaultMss);
   EXPECT_EQ(h.cc->acks[1].prior_delivered, 0);  // sent before any delivery
   EXPECT_EQ(h.cc->acks[1].delivered, 2 * kDefaultMss);
+}
+
+// --- Typed exit hop ---------------------------------------------------------
+
+/// One transmission as the network saw it.
+struct TxLog {
+  TimeNs at;
+  SeqNo seq;
+  bool retx;
+  bool operator==(const TxLog&) const = default;
+};
+
+/// A lossy 20 ms loopback behind the sender: it logs every transmission,
+/// loses the first transmission of every 13th sequence number, and returns
+/// each delivered packet's ACK from a Receiver.
+struct LossyLoop {
+  Simulator sim;
+  Script script;
+  Receiver receiver{0};
+  std::vector<TxLog> log;
+  std::function<void(const Ack&)> to_sender;
+
+  LossyLoop() {
+    receiver.set_ack_sink([this](const Ack& ack) {
+      sim.schedule_in(from_ms(10), [this, ack] { to_sender(ack); });
+    });
+  }
+
+  void carry(const Packet& pkt) {
+    log.push_back(TxLog{sim.now(), pkt.seq, pkt.is_retransmit});
+    if (!pkt.is_retransmit && pkt.seq % 13 == 5) return;
+    sim.schedule_in(from_ms(10), [this, pkt] { receiver.on_packet(pkt, 0); });
+  }
+};
+
+/// A concrete exit hop type, as the scenario runner plugs in.
+struct RecordingSink {
+  LossyLoop* loop;
+  void operator()(const Packet& pkt) const { loop->carry(pkt); }
+};
+
+/// Runs 2 s of the loop behind a SenderT whose exit hop make_exit(&loop)
+/// builds; returns the transmission log.
+template <class SenderT, class MakeExit>
+std::vector<TxLog> run_lossy_loop(BytesPerSec pacing, MakeExit make_exit) {
+  LossyLoop loop;
+  loop.script.cwnd_bytes = 20 * kDefaultMss;
+  loop.script.pacing = pacing;
+  SenderT sender{loop.sim, 0, SenderConfig{}, ScriptedCc{&loop.script},
+                 make_exit(&loop)};
+  loop.to_sender = [&sender](const Ack& ack) { sender.on_ack(ack); };
+  sender.start(0);
+  loop.sim.run_until(from_sec(2));
+  return loop.log;
+}
+
+/// Runs the same script through a typed exit hop and through the default
+/// std::function exit; the two transmission logs must be identical.
+void expect_typed_exit_matches_std_function(BytesPerSec pacing) {
+  const auto typed = run_lossy_loop<BasicSender<ScriptedCc, RecordingSink>>(
+      pacing, [](LossyLoop* l) { return RecordingSink{l}; });
+  const auto erased = run_lossy_loop<ScriptedSender>(
+      pacing, [](LossyLoop* l) -> ScriptedSender::TransmitFn {
+        return [l](const Packet& pkt) { l->carry(pkt); };
+      });
+  ASSERT_GT(typed.size(), 500u);
+  std::size_t retx = 0;
+  for (const TxLog& t : typed) retx += t.retx ? 1 : 0;
+  EXPECT_GT(retx, 20u);
+  EXPECT_EQ(typed, erased);
+}
+
+TEST(Sender, TypedExitTransmitsLikeStdFunctionUnpaced) {
+  expect_typed_exit_matches_std_function(kNoPacing);
+}
+
+TEST(Sender, TypedExitTransmitsLikeStdFunctionPaced) {
+  expect_typed_exit_matches_std_function(1.5e6);
 }
 
 }  // namespace

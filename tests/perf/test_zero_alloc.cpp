@@ -25,6 +25,7 @@
 #include "net/impairment.hpp"
 #include "sim/simulator.hpp"
 #include "util/alloc_counter.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace bbrnash {
@@ -42,10 +43,14 @@ struct SteadyAllocs {
 };
 
 /// Runs `bbr_flows` + `cubic_flows` over a shared bottleneck and returns
-/// the allocation counts observed between `warmup` and `duration`.
-SteadyAllocs run_dumbbell(int bbr_flows, int cubic_flows, BytesPerSec capacity,
-                          double buffer_bdps, const ImpairmentConfig& impair,
-                          TimeNs warmup, TimeNs duration) {
+/// the allocation counts observed between `warmup` and `duration`. Each
+/// sender's exit hop is `make_exit(sim, link, flow, stage)`, where `stage`
+/// is the flow's impairment stage or null.
+template <class Transmit, class MakeExit>
+SteadyAllocs run_dumbbell_via(int bbr_flows, int cubic_flows,
+                              BytesPerSec capacity, double buffer_bdps,
+                              const ImpairmentConfig& impair, TimeNs warmup,
+                              TimeNs duration, MakeExit make_exit) {
   const auto n = static_cast<std::uint32_t>(bbr_flows + cubic_flows);
   const TimeNs rtt = from_ms(40);
   Simulator sim;
@@ -62,7 +67,7 @@ SteadyAllocs run_dumbbell(int bbr_flows, int cubic_flows, BytesPerSec capacity,
   const std::size_t per_flow_pkts = 4 * total_window_pkts / n + 512;
   sim.reserve_events(16 * total_window_pkts + 4096);
 
-  std::vector<std::unique_ptr<Sender>> senders;
+  std::vector<std::unique_ptr<BasicSender<CcVariant, Transmit>>> senders;
   std::vector<std::unique_ptr<Receiver>> receivers;
   std::vector<std::unique_ptr<DelayLine<Delivery>>> fwd;
   std::vector<std::unique_ptr<DelayLine<Ack>>> rev;
@@ -87,16 +92,9 @@ SteadyAllocs run_dumbbell(int bbr_flows, int cubic_flows, BytesPerSec capacity,
     const CcKind kind = i < static_cast<std::uint32_t>(bbr_flows)
                             ? CcKind::kBbr
                             : CcKind::kCubic;
-    ImpairmentStage<Packet>* stage = stages[i].get();
-    senders.push_back(std::make_unique<Sender>(
+    senders.push_back(std::make_unique<BasicSender<CcVariant, Transmit>>(
         sim, i, SenderConfig{}, make_cc_variant(kind, cfg),
-        [&link, stage](const Packet& p) {
-          if (stage != nullptr) {
-            stage->send(p);
-          } else {
-            link.send(p);
-          }
-        }));
+        make_exit(sim, link, i, stages[i].get())));
     senders.back()->reserve_windows(per_flow_pkts);
     receivers.back()->reserve_reorder(per_flow_pkts);
 
@@ -131,6 +129,51 @@ SteadyAllocs run_dumbbell(int bbr_flows, int cubic_flows, BytesPerSec capacity,
   return out;
 }
 
+/// run_dumbbell_via with a std::function exit straight into the flow's
+/// impairment stage, or the bottleneck when the path is clean.
+SteadyAllocs run_dumbbell(int bbr_flows, int cubic_flows, BytesPerSec capacity,
+                          double buffer_bdps, const ImpairmentConfig& impair,
+                          TimeNs warmup, TimeNs duration) {
+  return run_dumbbell_via<Sender::TransmitFn>(
+      bbr_flows, cubic_flows, capacity, buffer_bdps, impair, warmup, duration,
+      [](Simulator&, BottleneckLink& link, std::uint32_t,
+         ImpairmentStage<Packet>* stage) -> Sender::TransmitFn {
+        return [&link, stage](const Packet& p) {
+          if (stage != nullptr) {
+            stage->send(p);
+          } else {
+            link.send(p);
+          }
+        };
+      });
+}
+
+/// The scenario runner's access path: each packet reaches the bottleneck
+/// up to one serialization time late, never before the flow's previous
+/// packet, through the flow's private lane.
+struct AccessState {
+  Simulator* sim;
+  BottleneckLink* link;
+  LaneId lane;
+  Rng rng;
+  TimeNs jitter;
+  TimeNs last_arrival = 0;
+
+  void transmit(const Packet& pkt) {
+    last_arrival = std::max(
+        last_arrival + 1,
+        sim->now() + static_cast<TimeNs>(rng.next_below(
+                         static_cast<std::uint64_t>(jitter))));
+    sim->schedule_lane_at(lane, last_arrival, [this, pkt] { link->send(pkt); });
+  }
+};
+
+/// A typed exit hop into an AccessState, as the scenario runner wires it.
+struct AccessHop {
+  AccessState* state;
+  void operator()(const Packet& pkt) const { state->transmit(pkt); }
+};
+
 // The paper's Fig. 3 shape: one BBR vs one CUBIC flow. After warmup the
 // entire event loop — heap maintenance, slot pool, packet rings, CC state,
 // pacing — must run without touching the allocator.
@@ -152,6 +195,31 @@ TEST(ZeroAlloc, TenFlowSteadyStateAllocatesNothing) {
   EXPECT_GT(a.events, 10000u);
   EXPECT_EQ(a.news, 0u) << "steady-state hot path allocated";
   EXPECT_EQ(a.deletes, 0u) << "steady-state hot path freed";
+}
+
+// The production wiring: typed exit hops and jittered access arrivals on
+// per-flow private lanes, whose segments must reach their high-water mark
+// during warmup like every other pool.
+TEST(ZeroAlloc, AccessLaneSteadyStateAllocatesNothing) {
+  for (const int per_kind : {1, 5}) {
+    SCOPED_TRACE(per_kind);
+    std::vector<AccessState> access;
+    access.reserve(2 * static_cast<std::size_t>(per_kind));
+    const BytesPerSec capacity = mbps(50);
+    const SteadyAllocs a = run_dumbbell_via<AccessHop>(
+        per_kind, per_kind, capacity, 1.0, ImpairmentConfig{}, from_sec(2),
+        from_sec(5),
+        [&access, capacity](Simulator& sim, BottleneckLink& link,
+                            std::uint32_t flow, ImpairmentStage<Packet>*) {
+          access.push_back(AccessState{
+              &sim, &link, sim.private_lane(), Rng{500 + flow},
+              serialization_time(kDefaultMss + kHeaderBytes, capacity)});
+          return AccessHop{&access.back()};
+        });
+    EXPECT_GT(a.events, 10000u);
+    EXPECT_EQ(a.news, 0u) << "steady-state hot path allocated";
+    EXPECT_EQ(a.deletes, 0u) << "steady-state hot path freed";
+  }
 }
 
 // Loss + jitter + reordering drives the retransmit and out-of-order

@@ -1,5 +1,6 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -474,6 +475,90 @@ TEST(EventQueue, BoxedLaneCallablesFireAndRelease) {
     EXPECT_FALSE(q.run_one(3, clock));  // the second is due at 4
   }
   EXPECT_EQ(sink, (std::vector<int>{4, 5, 6}));
+}
+
+// --- Private lanes ----------------------------------------------------------
+
+TEST(EventQueue, LaneNeverReturnsAPrivateLane) {
+  EventQueue q;
+  const LaneId p0 = q.private_lane();
+  const LaneId p1 = q.private_lane();
+  EXPECT_NE(p0, p1);
+  for (const TimeNs delay : {TimeNs{0}, TimeNs{1}, TimeNs{4096}}) {
+    const LaneId shared = q.lane(delay);
+    EXPECT_NE(shared, p0);
+    EXPECT_NE(shared, p1);
+    EXPECT_EQ(q.lane(delay), shared);
+  }
+  // Pushing onto a private lane does not make it look like any delay's.
+  q.push_lane(p0, 0, [] {});
+  q.push_lane(p1, 4096, [] {});
+  EXPECT_NE(q.lane(0), p0);
+  EXPECT_NE(q.lane(4096), p1);
+}
+
+// Pushes onto a private lane take absolute times that may repeat or jump;
+// a lane that drains and is pushed again re-enters the lane heap keyed by
+// its new head, so it fires in (when, schedule order) against the others.
+TEST(EventQueue, PrivateLaneRefillsReenterTheLaneHeapAtTheirNewHead) {
+  EventQueue q;
+  std::vector<int> order;
+  std::vector<TimeNs> at;
+  TimeNs clock = 0;
+  const LaneId own = q.private_lane();
+  const LaneId shared = q.lane(300);
+  auto note = [&](int tag) {
+    return [&, tag] {
+      order.push_back(tag);
+      at.push_back(clock);
+    };
+  };
+  q.push_lane(own, 100, note(0));
+  q.push_lane(own, 100, note(1));  // same instant, later in schedule order
+  q.schedule_lane(shared, 0, note(3));  // 300
+  q.schedule(200, note(2));
+  ASSERT_TRUE(q.run_one(kTimeInf, clock));
+  ASSERT_TRUE(q.run_one(kTimeInf, clock));
+  EXPECT_EQ(clock, 100);  // the private lane is empty again
+  q.push_lane(own, 700, note(5));
+  q.schedule_lane(shared, clock, note(4));  // 400
+  q.push_lane(own, 700, note(6));
+  q.schedule(700, note(7));
+  while (q.run_one(kTimeInf, clock)) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(at, (std::vector<TimeNs>{100, 100, 200, 300, 400, 700, 700, 700}));
+  EXPECT_EQ(q.size(), 0u);
+}
+
+// Segments stay with their lane: once a lane has drained, refilling it to
+// the same depth writes into the same entries instead of new segments.
+// The depth, 256, is a whole number of segments, so both fills cover the
+// same entries whichever segment the refill starts in.
+TEST(EventQueue, LaneSegmentsAreReusedAfterADrain) {
+  EventQueue q;
+  const LaneId own = q.private_lane();
+  std::vector<const void*> first;
+  std::vector<const void*> second;
+  struct Probe {
+    std::vector<const void*>* seen;
+    void operator()() const { seen->push_back(this); }
+  };
+  TimeNs clock = 0;
+  for (TimeNs t = 1; t <= 256; ++t) q.push_lane(own, t, Probe{&first});
+  while (q.run_one(kTimeInf, clock)) {
+  }
+  for (TimeNs t = 0; t < 256; ++t) {
+    q.push_lane(own, clock + t, Probe{&second});
+  }
+  while (q.run_one(kTimeInf, clock)) {
+  }
+  ASSERT_EQ(first.size(), 256u);
+  ASSERT_EQ(second.size(), 256u);
+  std::sort(first.begin(), first.end());
+  std::sort(second.begin(), second.end());
+  EXPECT_EQ(std::unique(first.begin(), first.end()), first.end());
+  EXPECT_EQ(first, second);
 }
 
 }  // namespace

@@ -1,16 +1,19 @@
-// Differential ordering test: the simulator's wheel + heap + fixed-delay
-// lanes against a reference priority queue on (when, schedule order).
+// Differential ordering test: the simulator's wheel + heap + lanes against
+// a reference priority queue on (when, schedule order).
 //
 // Each trial builds a random event tree. Every event carries a plan that is
 // a pure function of (trial seed, event id): child events via schedule_at,
-// schedule_in, schedule_cancellable_at or schedule_lane (several lanes, some
-// delays shared, some equal to wheel offsets so lane and wheel events tie),
-// cancels of earlier timers, and occasionally stop(). Each trial runs the
-// real simulator in slices — run_until deadlines placed exactly on events,
-// between the earliest lane event and the earliest wheel event, and far
-// ahead — under random event budgets, and after every slice requires the
-// fired ids, the clock, pending_events(), and the budget/stop state to
-// match the reference exactly.
+// schedule_in, schedule_cancellable_at, schedule_lane (several fixed-delay
+// lanes, some delays shared, some equal to wheel offsets so lane and wheel
+// events tie) or schedule_lane_at on a private lane fed the access-path
+// pattern max(last + gap, now + U) (U may be 0, so pushes land at the
+// current instant), cancels of earlier timers, and occasionally stop().
+// Each trial runs the real simulator in slices — run_until deadlines placed
+// exactly on events, between the earliest lane event and the earliest wheel
+// event, and far ahead — under random event budgets, and after every slice
+// requires the fired ids, the clock, pending_events(), and the budget/stop
+// state to match the reference exactly.
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -35,14 +38,26 @@ constexpr std::size_t kNumLanes = std::size(kLaneDelays);
 constexpr TimeNs kOffsets[] = {0,          1,          7,          4095,
                                4096,       from_us(50), from_ms(3), from_ms(20),
                                from_ms(67), from_ms(90), from_ms(250)};
+// Private lanes, by the gap their pushes keep after the previous one: 1 as
+// in the scenario runner's access path (strictly increasing), 0 for a lane
+// whose pushes may tie with each other.
+constexpr TimeNs kPrivateGaps[] = {1, 1, 0};
+constexpr std::size_t kNumPrivate = std::size(kPrivateGaps);
+// Access jitter bounds: U is drawn below one of these, so 1 gives U = 0.
+constexpr TimeNs kJitters[] = {1, 1, 4096, from_us(50), from_ms(3),
+                               from_ms(90)};
 constexpr std::uint64_t kMaxEvents = 6000;
 
-enum class OpKind { kAt, kIn, kCancellable, kLane, kCancel, kStop };
+enum class OpKind { kAt, kIn, kCancellable, kLane, kPrivate, kCancel, kStop };
+
+/// Where an event waits: on the wheel (or far heap), a shared lane, or a
+/// private lane.
+enum class Path { kWheel, kShared, kPrivate };
 
 struct Op {
   OpKind kind;
-  TimeNs offset = 0;       ///< kAt / kIn / kCancellable
-  std::size_t lane = 0;    ///< kLane: index into kLaneDelays
+  TimeNs offset = 0;       ///< kAt / kIn / kCancellable; kPrivate: U
+  std::size_t lane = 0;    ///< kLane: into kLaneDelays; kPrivate: kPrivateGaps
   std::uint64_t target = 0;  ///< kCancel: an earlier event id
 };
 
@@ -56,10 +71,15 @@ std::vector<Op> plan_for(std::uint64_t seed, std::uint64_t id,
       root ? 40 : (id < kMaxEvents - 200 ? rng.next_below(3) : 0);
   for (std::uint64_t c = 0; c < children; ++c) {
     Op op;
-    const std::uint64_t k = rng.next_below(10);
+    const std::uint64_t k = rng.next_below(12);
     if (k < 4) {
       op.kind = OpKind::kLane;
       op.lane = rng.next_below(kNumLanes);
+    } else if (k >= 10) {
+      op.kind = OpKind::kPrivate;
+      op.lane = rng.next_below(kNumPrivate);
+      op.offset = static_cast<TimeNs>(rng.next_below(static_cast<std::uint64_t>(
+          kJitters[rng.next_below(std::size(kJitters))])));
     } else {
       op.kind = k < 6 ? OpKind::kAt
                       : (k < 8 ? OpKind::kIn : OpKind::kCancellable);
@@ -84,7 +104,15 @@ struct Common {
   std::uint64_t next_id = 0;
   std::vector<std::uint64_t> fired;
   std::vector<bool> cancellable;  ///< by id
-  std::uint64_t lane_scheduled = 0;
+  std::uint64_t lane_scheduled = 0;  ///< shared and private
+  std::uint64_t private_scheduled = 0;
+  TimeNs last_private[kNumPrivate] = {};
+
+  /// The fire time of a push onto private lane `i` at `now`.
+  TimeNs private_when(std::size_t i, TimeNs now, TimeNs u) {
+    last_private[i] = std::max(last_private[i] + kPrivateGaps[i], now + u);
+    return last_private[i];
+  }
 };
 
 /// The system under test.
@@ -94,6 +122,9 @@ class Real {
     c_.seed = seed;
     c_.allow_stop = allow_stop;
     for (const TimeNs d : kLaneDelays) lanes_.push_back(sim_.lane(d));
+    for (std::size_t i = 0; i < kNumPrivate; ++i) {
+      privates_.push_back(sim_.private_lane());
+    }
     apply(plan_for(seed, kMaxEvents, allow_stop));
   }
 
@@ -136,6 +167,16 @@ class Real {
           handles_.push_back(0);
           sim_.schedule_lane(lanes_[op.lane], fn);
           break;
+        case OpKind::kPrivate:
+          ++c_.next_id;
+          ++c_.lane_scheduled;
+          ++c_.private_scheduled;
+          c_.cancellable.push_back(false);
+          handles_.push_back(0);
+          sim_.schedule_lane_at(privates_[op.lane],
+                                c_.private_when(op.lane, sim_.now(), op.offset),
+                                fn);
+          break;
         case OpKind::kCancel:
           if (c_.cancellable[op.target]) sim_.cancel(handles_[op.target]);
           break;
@@ -149,6 +190,7 @@ class Real {
   Simulator sim_;
   Common c_;
   std::vector<LaneId> lanes_;
+  std::vector<LaneId> privates_;
   std::vector<EventId> handles_;
 };
 
@@ -171,11 +213,18 @@ class Reference {
     while (!stopped_ && !budget_exhausted()) {
       const auto it = queue_.begin();
       if (it == queue_.end() || std::get<0>(*it) > deadline) break;
-      const auto [when, id, lane] = *it;
+      const auto [when, id, path] = *it;
       queue_.erase(it);
       live_.erase(id);
-      if (executed_ != 0 && when == now_ && lane != last_lane_) ++mixed_ties_;
-      last_lane_ = lane;
+      if (executed_ != 0 && when == now_ && path != last_path_) {
+        if ((path == Path::kWheel) != (last_path_ == Path::kWheel)) {
+          ++mixed_ties_;
+        }
+        if (path == Path::kPrivate || last_path_ == Path::kPrivate) {
+          ++private_ties_;
+        }
+      }
+      last_path_ = path;
       now_ = when;
       ++executed_;
       c_.fired.push_back(id);
@@ -189,14 +238,17 @@ class Reference {
   std::uint64_t executed() const { return executed_; }
   std::size_t pending() const { return queue_.size(); }
   const Common& common() const { return c_; }
-  /// Consecutive fires at one instant where one is a lane event and the
-  /// other a wheel event.
+  /// Consecutive fires at one instant where one is a lane event (shared or
+  /// private) and the other a wheel event.
   std::uint64_t mixed_ties() const { return mixed_ties_; }
+  /// Consecutive fires at one instant where one is a private-lane event and
+  /// the other is not.
+  std::uint64_t private_ties() const { return private_ties_; }
 
-  /// Earliest pending lane event and earliest pending wheel event.
+  /// Earliest pending lane event (shared or private) or wheel event.
   TimeNs next_time(bool lane) const {
     for (const auto& e : queue_) {
-      if (std::get<2>(e) == lane) return std::get<0>(e);
+      if ((std::get<2>(e) != Path::kWheel) == lane) return std::get<0>(e);
     }
     return kTimeInf;
   }
@@ -211,18 +263,25 @@ class Reference {
         case OpKind::kCancellable:
           ++c_.next_id;
           c_.cancellable.push_back(op.kind == OpKind::kCancellable);
-          push(now_ + op.offset, id, false);
+          push(now_ + op.offset, id, Path::kWheel);
           break;
         case OpKind::kLane:
           ++c_.next_id;
           ++c_.lane_scheduled;
           c_.cancellable.push_back(false);
-          push(now_ + kLaneDelays[op.lane], id, true);
+          push(now_ + kLaneDelays[op.lane], id, Path::kShared);
+          break;
+        case OpKind::kPrivate:
+          ++c_.next_id;
+          ++c_.lane_scheduled;
+          ++c_.private_scheduled;
+          c_.cancellable.push_back(false);
+          push(c_.private_when(op.lane, now_, op.offset), id, Path::kPrivate);
           break;
         case OpKind::kCancel:
           if (c_.cancellable[op.target] && live_.count(op.target) != 0) {
             queue_.erase(std::make_tuple(whens_[op.target], op.target,
-                                         false));
+                                         Path::kWheel));
             live_.erase(op.target);
           }
           break;
@@ -233,24 +292,25 @@ class Reference {
     }
   }
 
-  void push(TimeNs when, std::uint64_t id, bool lane) {
-    queue_.emplace(when, id, lane);
+  void push(TimeNs when, std::uint64_t id, Path path) {
+    queue_.emplace(when, id, path);
     live_.insert(id);
     if (whens_.size() <= id) whens_.resize(id + 1);
     whens_[id] = when;
   }
 
   Common c_;
-  // (when, id = schedule order, is-lane)
-  std::set<std::tuple<TimeNs, std::uint64_t, bool>> queue_;
+  // (when, id = schedule order, path)
+  std::set<std::tuple<TimeNs, std::uint64_t, Path>> queue_;
   std::set<std::uint64_t> live_;
   std::vector<TimeNs> whens_;
   TimeNs now_ = 0;
   bool stopped_ = false;
   std::uint64_t executed_ = 0;
   std::uint64_t budget_ = 0;
-  bool last_lane_ = false;
+  Path last_path_ = Path::kWheel;
   std::uint64_t mixed_ties_ = 0;
+  std::uint64_t private_ties_ = 0;
 };
 
 void expect_same(Real& real, const Reference& ref, const char* step) {
@@ -336,8 +396,9 @@ TEST(LaneOrdering, StopMidRunMatchesReference) {
   EXPECT_GT(stopped, 0);
 }
 
-// The trees above must actually exercise every path: lane and wheel
-// events, ties between them, and cancellations that hit.
+// The trees above must actually exercise every path: shared-lane,
+// private-lane and wheel events, ties between them, and cancellations that
+// hit.
 TEST(LaneOrdering, TrialsCoverLanesTiesAndCancels) {
   Reference ref{1, false};
   ref.run_until(kTimeInf);
@@ -348,8 +409,10 @@ TEST(LaneOrdering, TrialsCoverLanesTiesAndCancels) {
   }
   EXPECT_GT(c.fired.size(), 1000u);
   EXPECT_GT(c.lane_scheduled, 1000u);
+  EXPECT_GT(c.private_scheduled, 500u);
   EXPECT_GT(cancellable, 100u);
   EXPECT_GT(ref.mixed_ties(), 10u);
+  EXPECT_GT(ref.private_ties(), 10u);
   // Fewer fired than scheduled: some cancels landed.
   EXPECT_LT(c.fired.size(), c.next_id);
 
