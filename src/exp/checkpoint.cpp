@@ -258,16 +258,8 @@ MixOutcome mix_from_record(const JsonlRecord& rec) {
   return m;
 }
 
-namespace {
-constexpr const char* kLeasePrefix = "lease ";
-}  // namespace
-
 std::string lease_key(const std::string& cell_key) {
-  return kLeasePrefix + cell_key;
-}
-
-bool is_lease_key(const std::string& key) {
-  return key.rfind(kLeasePrefix, 0) == 0;
+  return "lease " + cell_key;
 }
 
 MixOutcome run_mix_trials_checkpointed(const NetworkParams& net,

@@ -82,13 +82,13 @@ class CheckpointLog {
   std::thread writer_;  ///< started lazily on the first record()
 };
 
-/// Canonical text form of a floating-point knob inside a checkpoint or
-/// oracle key: %.17g, the same full round-trip precision JsonlRecord uses
-/// for values. Every float that enters a key MUST go through this one
-/// helper — a key computed before a crash and recomputed after resume
-/// (possibly from a value that round-tripped through the log) must be the
-/// same string, or the resumed run silently re-runs (or worse, collides)
-/// cells. Pinned by tests/exp/test_oracle.cpp.
+/// Canonical text form of a floating-point knob inside a checkpoint key:
+/// %.17g, the same full round-trip precision JsonlRecord uses for values.
+/// Every float that enters a key MUST go through this one helper — a key
+/// computed before a crash and recomputed after resume (possibly from a
+/// value that round-tripped through the log) must be the same string, or
+/// the resumed run silently re-runs (or worse, collides) cells. Pinned by
+/// the CanonicalDouble tests in tests/exp/test_checkpoint.cpp.
 [[nodiscard]] std::string canonical_double(double v);
 
 /// Key for one run_mix_trials cell: network, mix, trial plan, every knob of
@@ -120,9 +120,6 @@ class CheckpointLog {
 
 /// Key under which a cell's lease state is recorded.
 [[nodiscard]] std::string lease_key(const std::string& cell_key);
-/// True for keys produced by lease_key — lets summaries and resume logic
-/// separate lease bookkeeping from measurement records.
-[[nodiscard]] bool is_lease_key(const std::string& key);
 
 /// run_mix_trials with lookup-before-run and record-after-run; a null log
 /// degenerates to a plain run_mix_trials call.

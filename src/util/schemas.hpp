@@ -38,9 +38,6 @@ inline constexpr std::string_view kSchemaFabric = "bbrnash-fabric-v1";
 inline constexpr std::string_view kSchemaFabricStats =
     "bbrnash-fabric-stats-v1";
 
-/// Payoff-oracle snapshot records (src/exp/oracle.cpp).
-inline constexpr std::string_view kSchemaOracle = "bbrnash-oracle-v1";
-
 /// Simulator-core perf report (bench/bench_perf_simcore.cpp).
 inline constexpr std::string_view kSchemaSimcorePerf =
     "bbrnash-simcore-perf-v1";
@@ -48,14 +45,6 @@ inline constexpr std::string_view kSchemaSimcorePerf =
 /// Simulator-core perf baseline records (bench/bench_perf_simcore.cpp).
 inline constexpr std::string_view kSchemaSimcoreBaseline =
     "bbrnash-simcore-baseline-v1";
-
-/// Oracle-query perf report (bench/bench_oracle_queries.cpp).
-inline constexpr std::string_view kSchemaOraclePerf =
-    "bbrnash-oracle-perf-v1";
-
-/// Oracle-query perf baseline records (bench/bench_oracle_queries.cpp).
-inline constexpr std::string_view kSchemaOracleBaseline =
-    "bbrnash-oracle-baseline-v1";
 
 /// bbrnash-lint --json report envelope (tools/lint/lint_core.cpp).
 inline constexpr std::string_view kSchemaLintReport =

@@ -34,7 +34,6 @@
 #include "exp/chaos.hpp"
 #include "exp/checkpoint.hpp"
 #include "exp/nash_search.hpp"
-#include "exp/oracle.hpp"
 #include "exp/sweeps.hpp"
 #include "model/network_params.hpp"
 #include "util/jsonl.hpp"
@@ -608,91 +607,6 @@ TEST(FabricSignals, SigtermInterruptsFlushesAndResumes) {
     EXPECT_EQ(out.status, FabricStatus::kComplete) << out.message;
     expect_cells_identical(out, serial_truth(net, cells, trial));
   }
-}
-
-// --- Payoff oracle: fabric-backed tier-3 compute --------------------------
-// Lives here rather than in test_oracle.cpp because the fabric forks real
-// worker processes, which the tsan-labelled oracle suite cannot do.
-
-TEST(FabricOracle, BatchComputeBitIdenticalToSerialAndCached) {
-  const NetworkParams net = small_net();
-  const TrialConfig trial = small_trial();
-  const std::vector<FabricCell> cells = small_cells();
-  const std::vector<MixOutcome> truth = serial_truth(net, cells, trial);
-  const std::string cache = temp_path("fabric_oracle.jsonl");
-  {
-    std::error_code ec;
-    std::filesystem::remove(cache + ".fabric.jsonl", ec);
-    std::filesystem::remove(cache + ".fabric.jsonl.incidents.jsonl", ec);
-  }
-
-  std::vector<OracleQuery> queries;
-  for (const FabricCell& c : cells) {
-    OracleQuery q;
-    q.net = net;
-    q.num_cubic = c.num_cubic;
-    q.num_other = c.num_other;
-    q.challenger = CcKind::kBbr;
-    q.trial = trial;
-    queries.push_back(q);
-  }
-  queries.push_back(queries[1]);  // duplicate: must dedup into one cell
-
-  OracleConfig cfg;
-  cfg.cache_path = cache;
-  cfg.allow_interpolation = false;
-  cfg.allow_model = false;
-  cfg.fabric_workers = 2;
-  PayoffOracle oracle{cfg};
-  const std::vector<OracleAnswer> answers = oracle.query_batch(queries);
-  oracle.flush();
-
-  // The fabric-computed answers are bit-identical to the serial loop —
-  // the oracle's compute tier must never change numbers, only schedule
-  // them — and the duplicate rode its twin's cell.
-  ASSERT_EQ(answers.size(), queries.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    ASSERT_TRUE(answers[i].ok()) << "query " << i << ": " << answers[i].message;
-    EXPECT_EQ(answers[i].fidelity, OracleFidelity::kExact);
-    EXPECT_EQ(mix_to_record(answers[i].outcome).encode(),
-              mix_to_record(truth[i]).encode())
-        << "query " << i << " diverged from serial truth";
-  }
-  EXPECT_EQ(answers[3].key, answers[1].key);
-  EXPECT_EQ(mix_to_record(answers[3].outcome).encode(),
-            mix_to_record(answers[1].outcome).encode());
-  const OracleStats stats = oracle.stats();
-  EXPECT_EQ(stats.queries, queries.size());
-  EXPECT_EQ(stats.computed, cells.size());  // dedup: 3 cells for 4 queries
-  EXPECT_EQ(oracle.cache_size(), cells.size());
-
-  // The batch went through ONE fabric run on <cache>.fabric.jsonl: every
-  // cell has a clean claim/commit lease trail there.
-  for (const FabricCell& c : cells) {
-    const std::string key =
-        mix_checkpoint_key(net, c.num_cubic, c.num_other, CcKind::kBbr, trial);
-    const auto trail = lease_trail(cache + ".fabric.jsonl", key);
-    EXPECT_EQ(count_lease_state(trail, "claim"), 1u);
-    EXPECT_EQ(count_lease_state(trail, "commit"), 1u);
-  }
-
-  // Cache round-trip: a fresh oracle on the same cache file serves every
-  // cell as an exact hit under no_compute, entry-for-entry identical.
-  OracleConfig cold = cfg;
-  cold.no_compute = true;
-  cold.fabric_workers = 0;
-  PayoffOracle rehydrated{cold};
-  EXPECT_EQ(rehydrated.cache_size(), cells.size());
-  const std::vector<OracleAnswer> replay = rehydrated.query_batch(queries);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_TRUE(replay[i].ok()) << "replay " << i << ": " << replay[i].message;
-    EXPECT_EQ(replay[i].fidelity, OracleFidelity::kExact);
-    EXPECT_EQ(mix_to_record(replay[i].outcome).encode(),
-              mix_to_record(answers[i].outcome).encode())
-        << "replay " << i;
-  }
-  EXPECT_EQ(rehydrated.stats().exact_hits, queries.size());
-  ASSERT_EQ(oracle.snapshot().size(), rehydrated.snapshot().size());
 }
 
 // --- The fabric-stats record schema ---------------------------------------

@@ -105,10 +105,9 @@ TEST(Percentile, ClampsQuantile) {
   EXPECT_DOUBLE_EQ(percentile({1, 2}, 2.0), 2.0);
 }
 
-// Small-sample pins: bench_oracle_queries carried its own truncating
-// percentile (idx = size_t(p * (n-1)), no interpolation) whose p99 of <100
-// samples silently collapsed to a lower rank. These pin the shared
-// implementation's behaviour at exactly the sizes where that bug bit.
+// Small-sample pins: with fewer than 100 samples, p99 falls between the
+// top two ranks and must interpolate between them. Truncating the rank
+// (idx = size_t(p * (n-1))) would collapse it onto a lower sample.
 TEST(Percentile, SingleSampleIsThatSampleAtEveryQuantile) {
   EXPECT_DOUBLE_EQ(percentile({7.5}, 0.0), 7.5);
   EXPECT_DOUBLE_EQ(percentile({7.5}, 0.5), 7.5);
@@ -119,14 +118,14 @@ TEST(Percentile, SingleSampleIsThatSampleAtEveryQuantile) {
 TEST(Percentile, TwoSamplesInterpolateLinearly) {
   EXPECT_DOUBLE_EQ(percentile({10, 20}, 0.0), 10.0);
   EXPECT_DOUBLE_EQ(percentile({20, 10}, 0.5), 15.0);
-  EXPECT_DOUBLE_EQ(percentile({10, 20}, 0.99), 19.9);  // truncation gave 10
+  EXPECT_DOUBLE_EQ(percentile({10, 20}, 0.99), 19.9);  // truncating gives 10
   EXPECT_DOUBLE_EQ(percentile({10, 20}, 1.0), 20.0);
 }
 
 TEST(Percentile, ThreeSamplesHitAndBracketRanks) {
   // pos = q * 2: q=0.5 lands exactly on the middle rank, q=0.25/0.75
-  // bracket it, q=0.99 must stay between the top two samples (the
-  // truncating version returned the median for every q in [0.5, 1)).
+  // bracket it, q=0.99 must stay between the top two samples (a
+  // truncated rank returns the median for every q in [0.5, 1)).
   EXPECT_DOUBLE_EQ(percentile({30, 10, 20}, 0.5), 20.0);
   EXPECT_DOUBLE_EQ(percentile({30, 10, 20}, 0.25), 15.0);
   EXPECT_DOUBLE_EQ(percentile({30, 10, 20}, 0.75), 25.0);

@@ -19,22 +19,6 @@
 //                 [--checkpoint PATH] [--fabric-stats] [--trials N]
 //                 [--duration S] [--warmup S] [--seed N] [--jobs N]
 //                 [--challenger CC] [--tolerance F] [--audit] [--chaos SEED]
-//   bbrnash oracle --capacity 100 --rtt 40 --buffer-bdp 5 --cubic 3 --other 2
-//                 [--challenger CC] [--trials N] [--duration S] [--warmup S]
-//                 [--seed N] [--jobs N] [--cache PATH] [--hydrate P1,P2,...]
-//                 [--batch FILE] [--no-compute] [--no-interpolate]
-//                 [--no-model] [--max-band-dev F] [--workers N]
-//                 [--lease-ms MS] [--max-worker-retries N] [--oracle-stats]
-//
-// `oracle` answers payoff queries through the three-tier cache front end
-// (exp/oracle.hpp): exact memo hit from --cache/--hydrate JSONL logs,
-// bounded interpolation between cached cells, else compute (in-process, or
-// on the fabric with --workers N) — or kPending under --no-compute. A
-// --batch FILE holds one query per line as `key=value` tokens (same names
-// as the flags, no leading --) overriding the command-line base query;
-// `#` starts a comment, and a line with no tokens is skipped.
-// Exit codes mirror sweep: 0 every query answered, 1 hard error, 2 usage,
-// 3 some queries pending/failed.
 //
 // `run` simulates a scenario and prints per-flow results; `model` prints
 // the analytical prediction; `nash` prints the predicted Nash region —
@@ -54,7 +38,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -68,7 +51,6 @@
 #include "exp/cli_flags.hpp"
 #include "exp/fabric.hpp"
 #include "exp/nash_search.hpp"
-#include "exp/oracle.hpp"
 #include "exp/parallel.hpp"
 #include "exp/scenario_runner.hpp"
 #include "model/mishra_model.hpp"
@@ -86,10 +68,6 @@ struct Args {
   bool empirical = false;
   bool audit = false;
   bool fabric_stats = false;
-  bool no_compute = false;
-  bool no_interpolate = false;
-  bool no_model = false;
-  bool oracle_stats = false;
 
   // All numeric lookups parse strictly: the whole token must be a finite
   // number of the right shape, or the command exits 2 via the
@@ -129,7 +107,7 @@ std::optional<CcKind> parse_cc(const std::string& name) {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: bbrnash <run|model|nash|sweep|oracle> --capacity MBPS --rtt MS "
+      "usage: bbrnash <run|model|nash|sweep> --capacity MBPS --rtt MS "
       "--buffer-bdp N [options]\n"
       "  run:   --flows cubic:4,bbr:2 [--duration S] [--warmup S] "
       "[--seed N] [--aqm droptail|red|codel] [--csv]\n"
@@ -154,14 +132,7 @@ int usage() {
       "[--jobs N]\n"
       "         [--challenger CC] [--tolerance F] [--audit] [--chaos SEED]\n"
       "         exit: 0 complete, 1 error, 2 usage, 3 partial, "
-      "130 interrupted\n"
-      "  oracle: --cubic N --other N [--challenger CC] [--trials N]\n"
-      "         [--duration S] [--warmup S] [--seed N] [--jobs N]\n"
-      "         [--cache PATH] [--hydrate P1,P2,...] [--batch FILE]\n"
-      "         [--no-compute] [--no-interpolate] [--no-model]\n"
-      "         [--max-band-dev F] [--workers N] [--lease-ms MS]\n"
-      "         [--max-worker-retries N] [--oracle-stats]\n"
-      "         exit: 0 all answered, 1 error, 2 usage, 3 pending/failed\n");
+      "130 interrupted\n");
   return 2;
 }
 
@@ -186,17 +157,11 @@ const std::vector<std::string>& allowed_keys(const std::string& cmd) {
       "duration", "warmup", "seed",     "jobs",        "challenger",
       "tolerance", "checkpoint", "chaos", "workers",   "lease-ms",
       "max-worker-retries"};
-  static const std::vector<std::string> oracle_keys = {
-      "capacity", "rtt",  "buffer-bdp", "cubic",   "other",
-      "challenger", "trials", "duration", "warmup", "seed",
-      "jobs",     "cache", "hydrate",    "batch",   "max-band-dev",
-      "workers",  "lease-ms", "max-worker-retries"};
   static const std::vector<std::string> none;
   if (cmd == "run") return run_keys;
   if (cmd == "model") return model_keys;
   if (cmd == "nash") return nash_keys;
   if (cmd == "sweep") return sweep_keys;
-  if (cmd == "oracle") return oracle_keys;
   return none;
 }
 
@@ -579,158 +544,6 @@ int cmd_sweep(const Args& args) {
   return 1;
 }
 
-/// One oracle query built from a flat key=value map (the command line, or
-/// one --batch line overlaid on it). Throws std::invalid_argument on any
-/// malformed value — callers turn that into exit 2.
-OracleQuery build_oracle_query(const std::map<std::string, std::string>& kv) {
-  const auto num = [&kv](const std::string& key, double fallback) {
-    const auto it = kv.find(key);
-    if (it == kv.end()) return fallback;
-    return parse_double_strict(key, it->second);
-  };
-  const auto integer = [&kv](const std::string& key, int fallback) {
-    const auto it = kv.find(key);
-    if (it == kv.end()) return fallback;
-    return parse_int_strict(key, it->second);
-  };
-  OracleQuery q;
-  q.net = make_params(num("capacity", 100), num("rtt", 40),
-                      num("buffer-bdp", 5));
-  q.num_cubic = integer("cubic", 1);
-  q.num_other = integer("other", 1);
-  if (q.num_cubic < 0 || q.num_other < 0) {
-    throw std::invalid_argument{"cubic/other flow counts must be >= 0"};
-  }
-  const auto cit = kv.find("challenger");
-  if (cit != kv.end()) {
-    const auto challenger = parse_cc(cit->second);
-    if (!challenger) {
-      throw std::invalid_argument{"unknown challenger '" + cit->second + "'"};
-    }
-    q.challenger = *challenger;
-  }
-  q.trial.trials = integer("trials", 3);
-  q.trial.duration = from_sec(num("duration", 30));
-  q.trial.warmup = from_sec(num("warmup", num("duration", 30) / 4));
-  const auto sit = kv.find("seed");
-  if (sit != kv.end()) q.trial.seed = parse_u64_strict("seed", sit->second);
-  q.trial.jobs = integer("jobs", 1);
-  return q;
-}
-
-int cmd_oracle(const Args& args) {
-  OracleConfig cfg;
-  cfg.cache_path = args.str("cache", "");
-  cfg.allow_interpolation = !args.no_interpolate;
-  cfg.allow_model = !args.no_model;
-  cfg.no_compute = args.no_compute;
-  cfg.max_band_deviation = args.num("max-band-dev", cfg.max_band_deviation);
-  cfg.fabric_workers = args.integer("workers", 0);
-  cfg.fabric.lease_ms = args.num("lease-ms", cfg.fabric.lease_ms);
-  cfg.fabric.max_worker_retries =
-      args.integer("max-worker-retries", cfg.fabric.max_worker_retries);
-  {
-    std::stringstream paths{args.str("hydrate", "")};
-    std::string p;
-    while (std::getline(paths, p, ',')) {
-      if (!p.empty()) cfg.hydrate_paths.push_back(p);
-    }
-  }
-
-  // The command-line knobs are the base query; each --batch line overlays
-  // `key=value` tokens (same names, no leading --) on a copy of it.
-  std::vector<OracleQuery> queries;
-  if (args.has("batch")) {
-    std::ifstream in{args.str("batch", "")};
-    if (!in) {
-      std::fprintf(stderr, "cannot open batch file '%s'\n",
-                   args.str("batch", "").c_str());
-      return 1;
-    }
-    const std::vector<std::string>& allowed = allowed_keys("oracle");
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(in, line)) {
-      ++lineno;
-      std::map<std::string, std::string> kv = args.kv;
-      std::stringstream tokens{line};
-      std::string tok;
-      bool any_token = false;
-      while (tokens >> tok && tok[0] != '#') {
-        any_token = true;
-        const auto eq = tok.find('=');
-        const std::string key = tok.substr(0, eq);
-        if (eq == std::string::npos ||
-            std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
-          std::fprintf(stderr, "%s:%zu: bad batch token '%s'\n",
-                       args.str("batch", "").c_str(), lineno, tok.c_str());
-          return 2;
-        }
-        kv[key] = tok.substr(eq + 1);
-      }
-      if (any_token) queries.push_back(build_oracle_query(kv));
-    }
-    if (queries.empty()) {
-      std::fprintf(stderr, "batch file '%s' holds no queries\n",
-                   args.str("batch", "").c_str());
-      return 2;
-    }
-  } else {
-    queries.push_back(build_oracle_query(args.kv));
-  }
-
-  PayoffOracle oracle{cfg};
-  const std::vector<OracleAnswer> answers = oracle.query_batch(queries);
-  oracle.flush();
-
-  Table table({"q", "cubic", "other", "buf_bdp", "fidelity", "status",
-               "cubic_mbps", "other_mbps", "band_dev"});
-  int pending_or_failed = 0;
-  for (std::size_t i = 0; i < answers.size(); ++i) {
-    const OracleAnswer& a = answers[i];
-    const OracleQuery& q = queries[i];
-    if (!a.ok()) ++pending_or_failed;
-    table.add_row(
-        {std::to_string(i), std::to_string(q.num_cubic),
-         std::to_string(q.num_other), format_double(q.net.buffer_in_bdp(), 1),
-         a.ok() ? to_string(a.fidelity) : "-", to_string(a.status),
-         a.ok() ? format_double(a.outcome.per_flow_cubic_mbps, 3) : "-",
-         a.ok() ? format_double(a.outcome.per_flow_other_mbps, 3) : "-",
-         a.band_deviation < 0 ? "n/a" : format_double(a.band_deviation, 3)});
-  }
-  table.print_aligned(std::cout);
-  for (std::size_t i = 0; i < answers.size(); ++i) {
-    if (!answers[i].message.empty()) {
-      std::fprintf(stderr, "query %zu: %s\n", i, answers[i].message.c_str());
-    }
-  }
-
-  const OracleStats s = oracle.stats();
-  if (args.oracle_stats) {
-    std::printf(
-        "oracle: %llu queries — %llu exact, %llu interpolated, %llu "
-        "model-only, %llu computed, %llu pending, %llu failed; hydrated "
-        "%llu cell(s), %llu torn line(s) skipped; interp fell through %llu "
-        "(no bounds) + %llu (model-band reject)\n",
-        static_cast<unsigned long long>(s.queries),
-        static_cast<unsigned long long>(s.exact_hits),
-        static_cast<unsigned long long>(s.interpolated),
-        static_cast<unsigned long long>(s.model_only),
-        static_cast<unsigned long long>(s.computed),
-        static_cast<unsigned long long>(s.pending),
-        static_cast<unsigned long long>(s.failed),
-        static_cast<unsigned long long>(s.hydrated_cells),
-        static_cast<unsigned long long>(s.hydrate_skipped_lines),
-        static_cast<unsigned long long>(s.interp_no_bounds),
-        static_cast<unsigned long long>(s.interp_band_rejected));
-  }
-  if (!cfg.cache_path.empty()) {
-    std::printf("oracle cache: %zu cell(s) in %s\n", oracle.cache_size(),
-                cfg.cache_path.c_str());
-  }
-  return pending_or_failed > 0 ? 3 : 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -778,25 +591,6 @@ int main(int argc, char** argv) {
       args.fabric_stats = true;
       continue;
     }
-    if (std::strcmp(argv[i], "--no-compute") == 0 ||
-        std::strcmp(argv[i], "--no-interpolate") == 0 ||
-        std::strcmp(argv[i], "--no-model") == 0 ||
-        std::strcmp(argv[i], "--oracle-stats") == 0) {
-      if (cmd != "oracle") {
-        std::fprintf(stderr, "unknown flag '%s' for '%s'\n", argv[i],
-                     cmd.c_str());
-        return usage();
-      }
-      if (std::strcmp(argv[i], "--no-compute") == 0) args.no_compute = true;
-      if (std::strcmp(argv[i], "--no-interpolate") == 0) {
-        args.no_interpolate = true;
-      }
-      if (std::strcmp(argv[i], "--no-model") == 0) args.no_model = true;
-      if (std::strcmp(argv[i], "--oracle-stats") == 0) {
-        args.oracle_stats = true;
-      }
-      continue;
-    }
     if (std::strncmp(argv[i], "--", 2) == 0 && i + 1 < argc) {
       const std::string key = argv[i] + 2;
       if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
@@ -817,7 +611,6 @@ int main(int argc, char** argv) {
     if (cmd == "model") return cmd_model(args);
     if (cmd == "nash") return cmd_nash(args);
     if (cmd == "sweep") return cmd_sweep(args);
-    if (cmd == "oracle") return cmd_oracle(args);
   } catch (const std::invalid_argument& e) {
     // A malformed flag value is user error, not a crash: diagnose, show
     // the usage text, and exit 2 like every other bad-flag path.
