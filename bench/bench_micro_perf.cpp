@@ -44,7 +44,9 @@ void BM_EventQueueScheduleFire(benchmark::State& state) {
       q.schedule(static_cast<TimeNs>((i * 7919) % 100000),
                  [&fired] { ++fired; });
     }
-    while (!q.empty()) q.pop().fn();
+    TimeNs clock = 0;
+    while (q.run_one(kTimeInf, clock)) {
+    }
   }
   benchmark::DoNotOptimize(fired);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

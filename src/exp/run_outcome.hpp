@@ -42,9 +42,8 @@ class InvariantViolation : public std::runtime_error {
 struct RunDiagnostics {
   std::string message;                 ///< empty when status == kOk
   std::uint64_t events_executed = 0;
-  /// LIVE events still queued when the run ended (EventQueue::size(), not
-  /// raw_size(): lazily-cancelled dead entries must not inflate the
-  /// reported backlog under cancellation-heavy scenarios).
+  /// Events still queued when the run ended (EventQueue::size(), lane
+  /// events included).
   std::uint64_t pending_events = 0;
   TimeNs sim_time_reached = 0;
   double wall_seconds = 0.0;

@@ -619,9 +619,8 @@ ExecOutcome execute_scenario(const Scenario& scenario,
     }
     if (sim.budget_exhausted()) {
       out.status = RunStatus::kAbortedEventBudget;
-      // Live backlog only: the budget itself counts *executed* events and
-      // size() excludes lazily-cancelled corpses, so cancellation-heavy
-      // CCAs neither trip the watchdog early nor inflate this report.
+      // The budget counts *executed* events; the backlog is every event
+      // still queued, lane events included.
       out.diagnostics.message =
           "watchdog: event budget of " + std::to_string(watchdog.max_events) +
           " exhausted at simulated t=" + std::to_string(sim.now()) + " ns (" +

@@ -53,7 +53,6 @@
 // chunks that never move once allocated, so run_one() fires the event
 // directly from pooled storage and recycles the slot after the callable
 // returns (never before — the callable's own captures live in that slot).
-// The cold Popped/pop() path still copies the payload out first.
 //
 // Each payload slot embeds its callable in a fixed 64-byte inline buffer,
 // so the packet hot path (arrivals, departures, ACK deliveries, pacing
@@ -74,17 +73,8 @@
 // events it pushes) and growth leaves no freed copies behind; once the
 // circle reaches the lane's high-water mark it is reused forever.
 //
-// Cancellation is lazy: cancelled entries stay where they are (scratch,
-// chain, or heap) and are skipped when they reach the scratch front. Only
-// events scheduled via schedule_cancellable() pay the hash-set
-// bookkeeping; the hot path (packet arrivals/departures, which are never
-// cancelled) stays allocation-free, and lane events cannot be cancelled at
-// all. Cancellation is keyed on the globally unique schedule sequence,
-// never the pool slot, so a stale EventId whose slot has been recycled to
-// a new event can never kill the new event, and double-cancel is a
-// counted no-op. size() reports only live entries
-// (watchdog diagnostics must not overreport); raw_size() includes the
-// lazily-cancelled dead entries still occupying pool slots.
+// Events cannot be cancelled: a timer that is usually re-armed (the RTO)
+// re-arms lazily instead, checking at fire time whether it is still due.
 #pragma once
 
 #include <algorithm>
@@ -96,7 +86,6 @@
 #include <new>
 #include <stdexcept>
 #include <type_traits>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -104,7 +93,6 @@
 
 namespace bbrnash {
 
-using EventId = std::uint64_t;
 /// Handle of a FIFO lane (see EventQueue::lane and private_lane).
 using LaneId = std::uint32_t;
 
@@ -118,10 +106,9 @@ inline constexpr std::size_t kEventInlineBytes = 64;
 class EventQueue {
  private:
   /// What the wheel and heap order on: 16 bytes. meta packs
-  /// (sequence << kSeqShift) | (slot << 1) | cancellable — the sequence
-  /// occupies the high bits, so comparing meta words compares sequences
-  /// (slot and flag only differ when sequences differ, and sequences are
-  /// unique).
+  /// (sequence << kSeqShift) | slot — the sequence occupies the high bits,
+  /// so comparing meta words compares sequences (slots only differ when
+  /// sequences differ, and sequences are unique).
   struct Key {
     TimeNs when;
     std::uint64_t meta;
@@ -129,18 +116,18 @@ class EventQueue {
   static_assert(std::is_trivially_copyable_v<Key>);
   static_assert(sizeof(Key) == 16);
 
-  /// meta layout: bit 0 = cancellable, bits 1..24 = payload-slot index
-  /// (16M concurrent events), bits 25..63 = schedule sequence (5e11
-  /// events per simulation).
+  /// meta layout: bits 0..23 = payload-slot index (16M concurrent
+  /// events), bits 24..63 = schedule sequence (1e12 events per
+  /// simulation).
   static constexpr std::uint64_t kSlotBits = 24;
-  static constexpr std::uint64_t kSeqShift = kSlotBits + 1;
+  static constexpr std::uint64_t kSeqShift = kSlotBits;
   static constexpr std::uint64_t kSlotMask = (1u << kSlotBits) - 1;
 
   /// One pooled payload: the callable plus its dispatch thunks. Written at
   /// schedule(), fired in place at dispatch, recycled through free_.
   /// Trivially copyable by construction (inline callables are restricted
-  /// to trivially-copyable types), so the cold pop() copy-out is a plain
-  /// assignment.
+  /// to trivially-copyable types), so an inline callable needs no
+  /// destructor call: only a boxed one is released, by `cleanup`.
   struct Slot {
     void (*invoke)(std::byte*);
     void (*cleanup)(std::byte*);  ///< frees a boxed callable; null = inline
@@ -206,20 +193,12 @@ class EventQueue {
     LaneId lane;
   };
 
-  /// Releases a dispatched slot's boxed callable at scope exit, so the box
-  /// is freed even when the callable throws (a throwing event — e.g. an
-  /// injected chaos fault — unwinds through the run loop after its key
-  /// was already consumed, where no other owner would clean it).
-  struct FireGuard {
-    Slot& s;
-    ~FireGuard() {
-      if (s.cleanup != nullptr) s.cleanup(s.storage);
-    }
-  };
-
   /// run_one() fires callables in place from pooled storage; the slot must
   /// only return to the free list after the callable (whose captures live
-  /// in that storage) finishes — including via an exception unwind.
+  /// in that storage) finishes. The guard also runs on an exception
+  /// unwind: a throwing event (e.g. an injected chaos fault) leaves the
+  /// run loop after its key was already consumed, where no other owner
+  /// would free its boxed callable or recycle its slot.
   struct DispatchGuard {
     EventQueue& q;
     Slot& s;
@@ -276,30 +255,10 @@ class EventQueue {
     ::operator delete(base_, std::align_val_t{kLineBytes});
   }
 
-  /// Schedules a non-cancellable event at absolute time `when`.
+  /// Schedules an event at absolute time `when`.
   template <typename F>
   void schedule(TimeNs when, F&& fn) {
-    insert_key(when, make_meta(false), fill_slot(std::forward<F>(fn)));
-  }
-
-  /// Schedules a cancellable event; returns a handle for cancel().
-  template <typename F>
-  EventId schedule_cancellable(TimeNs when, F&& fn) {
-    const std::uint64_t meta = make_meta(true);
-    const EventId seq = meta >> kSeqShift;
-    pending_.insert(seq);
-    insert_key(when, meta, fill_slot(std::forward<F>(fn)));
-    return seq;
-  }
-
-  /// Cancels a pending cancellable event. Cancelling an already-fired,
-  /// already-cancelled, or unknown id is a harmless no-op: ids are the
-  /// globally unique schedule sequence (not the recycled pool slot), so a
-  /// stale id can never match a newer event, and the erase-guarded dead_
-  /// counter cannot drift (so size() cannot underflow). The dead record
-  /// stays pooled until it reaches the scratch front (lazy deletion).
-  void cancel(EventId id) {
-    if (pending_.erase(id) != 0) ++dead_;
+    insert_key(when, make_meta(), fill_slot(std::forward<F>(fn)));
   }
 
   /// The lane shared by every user whose events fire exactly `delay`
@@ -322,7 +281,7 @@ class EventQueue {
     return static_cast<LaneId>(lanes_.size() - 1);
   }
 
-  /// Schedules a non-cancellable event at `now` + the shared lane's delay.
+  /// Schedules an event at `now` + the shared lane's delay.
   /// Pre: `now` is not less than the `now` of any earlier push onto this
   /// lane (true of a simulation clock).
   template <typename F>
@@ -331,7 +290,7 @@ class EventQueue {
     push_lane(id, now + lanes_[id].delay, std::forward<F>(fn));
   }
 
-  /// Appends a non-cancellable event firing at `when` to lane `id`. Pre:
+  /// Appends an event firing at `when` to lane `id`. Pre:
   /// `when` is not earlier than the lane's previous push, which keeps the
   /// ring sorted, nor than the current event's time.
   template <typename F>
@@ -341,7 +300,7 @@ class EventQueue {
            "lane pushes must not go back in time");
     if (l.tail_at == l.segment_entries) advance_tail(l);
     LaneEntry& e = l.tail_entries[l.tail_at];
-    e.meta = make_meta(false);
+    e.meta = make_meta();
     e.when = when;
     fill(e.slot, std::forward<F>(fn));
     ++l.tail_at;
@@ -351,14 +310,8 @@ class EventQueue {
 
   [[nodiscard]] bool empty() { return locate_next() == Next::kNone; }
 
-  /// Number of LIVE events (excludes lazily-cancelled dead entries, so
-  /// watchdog diagnostics never overreport the backlog), lane events
-  /// included.
-  [[nodiscard]] std::size_t size() const { return n_ - dead_ + lane_n_; }
-
-  /// Number of occupied pool slots and lane entries, dead entries
-  /// included.
-  [[nodiscard]] std::size_t raw_size() const { return n_ + lane_n_; }
+  /// Number of queued events, lane events included.
+  [[nodiscard]] std::size_t size() const { return n_ + lane_n_; }
 
   /// Pre-sizes the event pool to `n` slots so neither the payload chunks
   /// nor the bookkeeping arrays reallocate while the simulation grows
@@ -369,7 +322,7 @@ class EventQueue {
     scratch_.reserve(std::min<std::size_t>(n, 1024));
   }
 
-  /// Time of the next live event; kTimeInf when empty.
+  /// Time of the next event; kTimeInf when empty.
   [[nodiscard]] TimeNs next_time() {
     switch (locate_next()) {
       case Next::kWheel:
@@ -382,66 +335,8 @@ class EventQueue {
     return kTimeInf;
   }
 
-  /// A popped event: fire it with fn() (at most once). If destroyed
-  /// unfired, any boxed callable is released.
-  class Popped {
-   public:
-    Popped(const Popped&) = delete;
-    Popped& operator=(const Popped&) = delete;
-    Popped(Popped&& other) noexcept
-        : when(other.when), slot_(other.slot_), live_(other.live_) {
-      other.live_ = false;
-    }
-    Popped& operator=(Popped&&) = delete;
-    ~Popped() {
-      if (live_ && slot_.cleanup != nullptr) slot_.cleanup(slot_.storage);
-    }
-
-    /// Invokes the event's callable. Pre: not already fired. The payload
-    /// was copied out of the pool at pop(), so the callable may freely
-    /// schedule new events (growing the pool) while it runs.
-    void fn() {
-      assert(live_ && "event already fired");
-      live_ = false;
-      FireGuard guard{slot_};
-      slot_.invoke(slot_.storage);
-    }
-
-    TimeNs when = 0;
-
-   private:
-    friend class EventQueue;
-    Popped() = default;
-
-    Slot slot_{};
-    bool live_ = false;
-  };
-
-  /// Pops and returns the next live event. Pre: !empty().
-  [[nodiscard]] Popped pop() {
-    const Next next = locate_next();
-    assert(next != Next::kNone && "pop() on an empty queue");
-    Popped out;
-    out.live_ = true;
-    if (next == Next::kLane) {
-      const LaneId id = lane_heap_[0].lane;
-      const LaneEntry& e = lanes_[id].front();
-      out.when = e.when;
-      out.slot_ = e.slot;  // the Popped now owns any boxed callable
-      pop_lane_front(id);
-      return out;
-    }
-    const Key top = scratch_[drain_++];
-    --n_;
-    retire(top);
-    out.when = top.when;
-    out.slot_ = slot_ref(slot_of(top));  // copy out: callbacks may grow the pool
-    free_.push_back(slot_of(top));
-    return out;
-  }
-
-  /// Combined prune + deadline check + dispatch — the simulator run
-  /// loop's one call per event. If the next live event is due at or before
+  /// Combined deadline check + dispatch — the simulator run loop's one
+  /// call per event. If the next event is due at or before
   /// `deadline`, advances `clock` to its timestamp, fires it, and returns
   /// true; otherwise leaves the queue untouched and returns false. The
   /// callable runs in place from its pooled chunk or lane ring; its entry
@@ -464,7 +359,6 @@ class EventQueue {
     if (top.when > deadline) return false;
     ++drain_;
     --n_;
-    retire(top);
     clock = top.when;
     Slot& s = slot_ref(slot_of(top));
     DispatchGuard guard{*this, s, slot_of(top)};
@@ -494,17 +388,17 @@ class EventQueue {
   }
 
   [[nodiscard]] static constexpr std::uint32_t slot_of(const Key& k) {
-    return static_cast<std::uint32_t>((k.meta >> 1) & kSlotMask);
+    return static_cast<std::uint32_t>(k.meta & kSlotMask);
   }
 
-  [[nodiscard]] std::uint64_t make_meta(bool cancellable) {
-    // A sequence past 39 bits would make same-timestamp FIFO comparisons
-    // wrap silently; no realistic run gets near 5e11 events, but fail
+  [[nodiscard]] std::uint64_t make_meta() {
+    // A sequence past 40 bits would make same-timestamp FIFO comparisons
+    // wrap silently; no realistic run gets near 1e12 events, but fail
     // loudly rather than go nondeterministic.
     if (next_seq_ >> (64 - kSeqShift) != 0) [[unlikely]] {
       sequence_exhausted();
     }
-    return (next_seq_++ << kSeqShift) | (cancellable ? 1u : 0u);
+    return next_seq_++ << kSeqShift;
   }
 
   /// Out of line so make_meta() stays small enough to inline everywhere.
@@ -575,13 +469,6 @@ class EventQueue {
     }
   }
 
-  /// Frees a key's boxed callable (if any) and recycles its pool slot.
-  void release_slot(std::uint32_t idx) {
-    Slot& s = slot_ref(idx);
-    if (s.cleanup != nullptr) s.cleanup(s.storage);
-    free_.push_back(idx);
-  }
-
   /// Destructor-only: boxed cleanup without free-list bookkeeping.
   void release_boxed(const Key& k) {
     Slot& s = slot_ref(slot_of(k));
@@ -629,8 +516,7 @@ class EventQueue {
   /// bijection (two in-horizon buckets congruent mod kWheelSize are
   /// equal), so a chain only ever holds one absolute bucket's events.
   void insert_key(TimeNs when, std::uint64_t meta, std::uint32_t slot) {
-    const Key key{when, (meta & ~(kSlotMask << 1)) |
-                            (static_cast<std::uint64_t>(slot) << 1)};
+    const Key key{when, meta | slot};
     ++n_;
     const std::uint64_t b = bucket_of(when);
     if (b <= wheel_pos_) {
@@ -749,60 +635,35 @@ class EventQueue {
     return true;
   }
 
-  /// Advances past lazily-cancelled entries until scratch_[drain_] is the
-  /// earliest live wheel-or-heap event (loading buckets up to `max_bucket`
-  /// as needed). Returns false when no live event exists there, or when
-  /// the earliest one lies in a bucket past `max_bucket`.
-  bool ensure_next(std::uint64_t max_bucket) {
-    for (;;) {
-      while (drain_ < scratch_.size()) {
-        const Key k = scratch_[drain_];
-        if ((k.meta & 1) == 0 ||
-            pending_.find(k.meta >> kSeqShift) != pending_.end()) {
-          return true;
-        }
-        ++drain_;
-        --n_;
-        --dead_;
-        release_slot(slot_of(k));
-      }
-      if (!advance_cursor(max_bucket)) return false;
-    }
-  }
-
-  /// Where the next live event queue-wide lives.
+  /// Where the next event queue-wide lives.
   enum class Next { kNone, kWheel, kLane };
 
-  /// Finds the next live event by (when, sequence): scratch_[drain_] for
+  /// Finds the next event by (when, sequence): scratch_[drain_] for
   /// kWheel, lane_heap_[0] for kLane. With lanes pending, the wheel is
   /// loaded no further than the lane head's bucket: a later wheel bucket
-  /// cannot hold an earlier event.
+  /// cannot hold an earlier event. A bucket advance_cursor() loads is never
+  /// empty, so one load is enough.
   Next locate_next() {
     if (lane_heap_.empty()) {
-      return ensure_next(~std::uint64_t{0}) ? Next::kWheel : Next::kNone;
+      return drain_ < scratch_.size() || advance_cursor(~std::uint64_t{0})
+                 ? Next::kWheel
+                 : Next::kNone;
     }
     const LaneKey& lk = lane_heap_[0];
-    // Fast paths, no bucket loading: a live loaded wheel key to compare
+    const Key lane_head{lk.when, lk.meta};
+    // Fast paths, no bucket loading: a loaded wheel key to compare
     // against, or a memoized wheel target past the lane head's bucket.
     if (drain_ < scratch_.size()) {
-      const Key& k = scratch_[drain_];
-      if ((k.meta & 1) == 0) {
-        return before(k, Key{lk.when, lk.meta}) ? Next::kWheel : Next::kLane;
-      }
-    } else if (next_bucket_ != kBucketUnknown &&
-               next_bucket_ > bucket_of(lk.when)) {
+      return before(scratch_[drain_], lane_head) ? Next::kWheel : Next::kLane;
+    }
+    if (next_bucket_ != kBucketUnknown && next_bucket_ > bucket_of(lk.when)) {
       return Next::kLane;
     }
-    if (ensure_next(bucket_of(lk.when)) &&
-        before(scratch_[drain_], Key{lk.when, lk.meta})) {
+    if (advance_cursor(bucket_of(lk.when)) &&
+        before(scratch_[drain_], lane_head)) {
       return Next::kWheel;
     }
     return Next::kLane;
-  }
-
-  /// Post-pop bookkeeping for a cancellable key that fired live.
-  void retire(const Key& top) {
-    if ((top.meta & 1) != 0) pending_.erase(top.meta >> kSeqShift);
   }
 
   // --- Far-horizon heap ---------------------------------------------------
@@ -910,8 +771,7 @@ class EventQueue {
     lane_heap_[i] = key;
   }
 
-  /// Drops lane `id`'s head entry (its callable already fired or moved
-  /// out) and re-keys the lane heap. Pre: `id` is the lane-heap top — no
+  /// Drops lane `id`'s head entry (its callable already fired) and re-keys the lane heap. Pre: `id` is the lane-heap top — no
   /// push can overtake it, since every push (onto any lane) is keyed at or
   /// after the clock with a fresh, larger sequence.
   void pop_lane_front(LaneId id) {
@@ -990,11 +850,7 @@ class EventQueue {
   std::size_t heap_n_ = 0;   ///< heap size
 
   std::size_t n_ = 0;  ///< occupied slots: scratch pending + chains + heap
-  // bbrnash-lint: allow(unordered-container) -- lookup-only (insert /
-  // erase / count); never iterated, so hash order cannot affect results.
-  std::unordered_set<EventId> pending_;
-  std::size_t dead_ = 0;  ///< cancelled entries still occupying pool slots
-  EventId next_seq_ = 1;
+  std::uint64_t next_seq_ = 1;
 
   // Lanes: rings indexed by LaneId, a binary heap over the non-empty ones.
   std::vector<Lane> lanes_;

@@ -76,14 +76,6 @@ class Simulator {
     queue_.push_lane(lane, when, std::forward<F>(fn));
   }
 
-  /// Cancellable variants, for timers (e.g., RTO) that are usually rearmed.
-  template <typename F>
-  EventId schedule_cancellable_at(TimeNs when, F&& fn) {
-    assert(when >= now_);
-    return queue_.schedule_cancellable(when, std::forward<F>(fn));
-  }
-  void cancel(EventId id) { queue_.cancel(id); }
-
   /// Runs events until the queue drains or the clock would pass `deadline`.
   /// The clock is left at min(deadline, time of last event). Events at
   /// exactly `deadline` are executed. A run interrupted by stop() or an
@@ -121,14 +113,9 @@ class Simulator {
   [[nodiscard]] std::uint64_t events_executed() const noexcept {
     return events_executed_;
   }
-  /// Live (non-cancelled) events still queued, lane events included —
-  /// what watchdog diagnostics should report.
+  /// Events still queued, lane events included.
   [[nodiscard]] std::size_t pending_events() const noexcept {
     return queue_.size();
-  }
-  /// Queued events including lazily-cancelled dead entries.
-  [[nodiscard]] std::size_t pending_events_raw() const noexcept {
-    return queue_.raw_size();
   }
   /// Pre-sizes the event pool (see EventQueue::reserve).
   void reserve_events(std::size_t n) { queue_.reserve(n); }

@@ -1,12 +1,23 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 namespace bbrnash {
 namespace {
+
+/// Fires every queued event in (when, sequence) order; returns the times
+/// they fired at.
+std::vector<TimeNs> drain(EventQueue& q) {
+  std::vector<TimeNs> whens;
+  TimeNs clock = 0;
+  while (q.run_one(kTimeInf, clock)) whens.push_back(clock);
+  return whens;
+}
 
 TEST(EventQueue, EmptyInitially) {
   EventQueue q;
@@ -20,7 +31,7 @@ TEST(EventQueue, FiresInTimeOrder) {
   q.schedule(30, [&] { order.push_back(3); });
   q.schedule(10, [&] { order.push_back(1); });
   q.schedule(20, [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().fn();
+  drain(q);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -30,7 +41,7 @@ TEST(EventQueue, SameTimeIsFifo) {
   for (int i = 0; i < 10; ++i) {
     q.schedule(42, [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.pop().fn();
+  drain(q);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
@@ -41,7 +52,7 @@ TEST(EventQueue, MixedTimesAndTies) {
   q.schedule(5, [&] { order.push_back(2); });
   q.schedule(1, [&] { order.push_back(0); });
   q.schedule(9, [&] { order.push_back(3); });
-  while (!q.empty()) q.pop().fn();
+  drain(q);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
@@ -49,54 +60,9 @@ TEST(EventQueue, PopReturnsScheduledTime) {
   EventQueue q;
   q.schedule(77, [] {});
   EXPECT_EQ(q.next_time(), 77);
-  auto ev = q.pop();
-  EXPECT_EQ(ev.when, 77);
-}
-
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  int fired = 0;
-  const EventId id = q.schedule_cancellable(10, [&] { ++fired; });
-  q.schedule(20, [&] { fired += 100; });
-  q.cancel(id);
-  while (!q.empty()) q.pop().fn();
-  EXPECT_EQ(fired, 100);
-}
-
-TEST(EventQueue, CancelledHeadDoesNotBlockNextTime) {
-  EventQueue q;
-  const EventId id = q.schedule_cancellable(10, [] {});
-  q.schedule(20, [] {});
-  q.cancel(id);
-  EXPECT_EQ(q.next_time(), 20);
-}
-
-TEST(EventQueue, CancelUnknownIdIsNoop) {
-  EventQueue q;
-  q.schedule(5, [] {});
-  q.cancel(9999);
-  EXPECT_FALSE(q.empty());
-  (void)q.pop();
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, CancelAfterFireIsNoop) {
-  EventQueue q;
-  int fired = 0;
-  const EventId id = q.schedule_cancellable(1, [&] { ++fired; });
-  q.pop().fn();
-  q.cancel(id);  // already fired
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, AllCancelledMeansEmpty) {
-  EventQueue q;
-  const EventId a = q.schedule_cancellable(1, [] {});
-  const EventId b = q.schedule_cancellable(2, [] {});
-  q.cancel(a);
-  q.cancel(b);
-  EXPECT_TRUE(q.empty());
+  TimeNs clock = 0;
+  EXPECT_TRUE(q.run_one(kTimeInf, clock));
+  EXPECT_EQ(clock, 77);
 }
 
 TEST(EventQueue, InterleavedScheduleAndPop) {
@@ -107,78 +73,18 @@ TEST(EventQueue, InterleavedScheduleAndPop) {
     q.schedule(15, [&] { order.push_back(2); });
   });
   q.schedule(20, [&] { order.push_back(3); });
-  while (!q.empty()) q.pop().fn();
+  drain(q);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(EventQueue, LargeVolumeStaysOrdered) {
   EventQueue q;
-  TimeNs last = -1;
   for (int i = 0; i < 10000; ++i) {
     q.schedule((i * 7919) % 1000, [] {});
   }
-  while (!q.empty()) {
-    auto ev = q.pop();
-    EXPECT_GE(ev.when, last);
-    last = ev.when;
-  }
-}
-
-// Regression for the std::priority_queue-era pop(): it const_cast the
-// container's top() and moved out of it (UB). The replacement heap must
-// survive a dense interleaving of cancellable and non-cancellable events —
-// including cancellations that leave dead entries at the heap top — with
-// clean ASan/UBSan runs (the sanitize preset executes this test).
-TEST(EventQueue, InterleavedCancellablePopsCleanly) {
-  EventQueue q;
-  std::vector<int> fired;
-  std::vector<EventId> ids;
-  for (int i = 0; i < 200; ++i) {
-    const TimeNs when = (i * 37) % 50;
-    if (i % 2 == 0) {
-      ids.push_back(q.schedule_cancellable(when, [&fired, i] {
-        fired.push_back(i);
-      }));
-    } else {
-      q.schedule(when, [&fired, i] { fired.push_back(i); });
-    }
-  }
-  // Cancel every other cancellable event, including ones at the heap top.
-  for (std::size_t k = 0; k < ids.size(); k += 2) q.cancel(ids[k]);
-
-  TimeNs last = -1;
-  while (!q.empty()) {
-    auto ev = q.pop();
-    EXPECT_GE(ev.when, last);
-    last = ev.when;
-    ev.fn();
-  }
-  // 100 non-cancellable + 50 surviving cancellable events fire.
-  EXPECT_EQ(fired.size(), 150u);
-  for (const int i : fired) {
-    if (i % 2 == 0) {
-      EXPECT_EQ((i / 2) % 2, 1) << "cancelled event " << i << " fired";
-    }
-  }
-}
-
-// size() must report only live events — watchdog diagnostics were
-// overreporting the backlog by counting lazily-cancelled dead entries.
-// raw_size() keeps the old occupied-slots meaning.
-TEST(EventQueue, SizeExcludesCancelledRawSizeIncludes) {
-  EventQueue q;
-  const EventId a = q.schedule_cancellable(10, [] {});
-  q.schedule_cancellable(20, [] {});
-  q.schedule(30, [] {});
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.raw_size(), 3u);
-  q.cancel(a);
-  EXPECT_EQ(q.size(), 2u);      // live events only
-  EXPECT_EQ(q.raw_size(), 3u);  // the dead record still occupies a slot
-  // Popping past the dead entry reconciles both counts.
-  q.pop().fn();
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.raw_size(), 1u);
+  const std::vector<TimeNs> whens = drain(q);
+  EXPECT_EQ(whens.size(), 10000u);
+  EXPECT_TRUE(std::is_sorted(whens.begin(), whens.end()));
 }
 
 TEST(EventQueue, RunOneRespectsDeadline) {
@@ -199,18 +105,6 @@ TEST(EventQueue, RunOneRespectsDeadline) {
   EXPECT_EQ(fired, 11);
 }
 
-TEST(EventQueue, RunOneSkipsCancelledHead) {
-  EventQueue q;
-  int fired = 0;
-  TimeNs clock = 0;
-  const EventId id = q.schedule_cancellable(5, [&] { fired = -1; });
-  q.schedule(10, [&] { fired = 1; });
-  q.cancel(id);
-  EXPECT_TRUE(q.run_one(kTimeInf, clock));
-  EXPECT_EQ(clock, 10);
-  EXPECT_EQ(fired, 1);
-}
-
 // Callables that are too large or not trivially copyable fall back to the
 // boxed (heap-allocated) path; they must fire and be released both when
 // invoked and when destroyed unfired (no leaks under ASan).
@@ -221,98 +115,73 @@ TEST(EventQueue, BoxedCallablesFireAndRelease) {
     std::vector<int> payload{1, 2, 3};  // not trivially copyable
     q.schedule(1, [payload, &sink] { sink = payload; });
     q.schedule(2, [payload, &sink] { sink.push_back(99); });
-    q.pop().fn();
+    TimeNs clock = 0;
+    EXPECT_TRUE(q.run_one(1, clock));
     // The second boxed event is dropped unfired: its dtor must free the box.
   }
   EXPECT_EQ(sink, (std::vector<int>{1, 2, 3}));
 }
 
-// Steady-state schedule/pop cycles recycle pooled slots instead of growing:
-// raw_size() returns to zero and ordering stays exact across many refills.
+// A callable that throws out of run_one() still gives its entry back, from
+// the wheel and from a lane alike: the exception propagates, size() drops
+// by one, the boxed callable is destroyed (its captured token's use count
+// drops), and the next event fires in (when, sequence) order.
+TEST(EventQueue, ThrowingEventReleasesItsEntry) {
+  EventQueue q;
+  std::vector<int> order;
+  // Capturing a shared_ptr makes every callable below boxed.
+  const auto token = std::make_shared<int>(0);
+  const LaneId lane = q.lane(10);
+  q.schedule(5, [token, &order] {
+    order.push_back(1);
+    throw std::runtime_error{"wheel"};
+  });
+  q.schedule(10, [token, &order] { order.push_back(2); });
+  q.schedule_lane(lane, 0, [token, &order] {
+    order.push_back(3);
+    throw std::runtime_error{"lane"};
+  });
+  q.schedule(10, [token, &order] { order.push_back(4); });
+  q.schedule_lane(lane, 10, [token, &order] { order.push_back(5); });
+  ASSERT_EQ(q.size(), 5u);
+  ASSERT_EQ(token.use_count(), 6);
+
+  TimeNs clock = 0;
+  EXPECT_THROW(q.run_one(kTimeInf, clock), std::runtime_error);
+  EXPECT_EQ(clock, 5);
+  EXPECT_EQ(q.size(), 4u);
+  EXPECT_EQ(token.use_count(), 5);
+  EXPECT_TRUE(q.run_one(kTimeInf, clock));
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_THROW(q.run_one(kTimeInf, clock), std::runtime_error);
+  EXPECT_EQ(clock, 10);
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(token.use_count(), 3);
+  EXPECT_EQ(drain(q), (std::vector<TimeNs>{10, 20}));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+// Steady-state schedule/fire cycles recycle pooled slots instead of
+// growing: size() returns to zero and ordering stays exact across many
+// refills.
 TEST(EventQueue, PoolRecyclingKeepsOrderingExact) {
   EventQueue q;
   TimeNs now = 0;
   std::vector<TimeNs> fired;
   for (int round = 0; round < 50; ++round) {
     for (int i = 0; i < 16; ++i) {
-      q.schedule(now + 1 + (i * 13) % 7, [&fired] { fired.push_back(0); });
+      const TimeNs t = now + 1 + (i * 13) % 7;
+      q.schedule(t, [&fired, t] { fired.push_back(t); });
     }
-    while (!q.empty()) {
-      auto ev = q.pop();
-      EXPECT_GE(ev.when, now);
-      now = ev.when;
-      ev.fn();
+    while (q.run_one(kTimeInf, now)) {
     }
-    EXPECT_EQ(q.raw_size(), 0u);
+    EXPECT_EQ(now, fired.back());
+    EXPECT_EQ(q.size(), 0u);
   }
   EXPECT_EQ(fired.size(), 50u * 16u);
-}
-
-// --- cancel() audit pins (double-cancel / stale-id) ----------------------
-
-// Cancelling the same id repeatedly must count the kill exactly once:
-// the dead_ counter is guarded by the pending-set erase, so size() (n_ -
-// dead_) cannot underflow no matter how many times an id is replayed.
-TEST(EventQueue, DoubleCancelCountsOnce) {
-  EventQueue q;
-  const EventId a = q.schedule_cancellable(10, [] {});
-  q.schedule_cancellable(20, [] {});
-  q.schedule(30, [] {});
-  q.cancel(a);
-  q.cancel(a);
-  q.cancel(a);
-  EXPECT_EQ(q.size(), 2u);      // would be 0 if each cancel() decremented
-  EXPECT_EQ(q.raw_size(), 3u);
-  int fired = 0;
-  while (!q.empty()) {
-    q.pop().fn();
-    ++fired;
-  }
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(q.size(), 0u);
-  EXPECT_EQ(q.raw_size(), 0u);
-}
-
-// A stale EventId whose pool slot has been recycled to a NEW event must
-// not kill the new event: ids are the globally unique schedule sequence,
-// never the slot index.
-TEST(EventQueue, StaleIdAfterSlotRecycleIsInert) {
-  EventQueue q;
-  int first = 0;
-  const EventId old_id = q.schedule_cancellable(1, [&] { ++first; });
-  q.pop().fn();  // fires and frees the slot
-  EXPECT_EQ(first, 1);
-  EXPECT_EQ(q.raw_size(), 0u);
-
-  // The next schedule reuses the freed slot (LIFO free list) — the stale
-  // id must not reach it.
-  int second = 0;
-  q.schedule_cancellable(2, [&] { ++second; });
-  q.cancel(old_id);  // stale: already fired
-  EXPECT_EQ(q.size(), 1u);
-  q.pop().fn();
-  EXPECT_EQ(second, 1);
-}
-
-// Same recycle scenario through the lazy-deletion path: the old event is
-// cancelled (its corpse still occupies a slot), drains away, and a new
-// event takes over the slot. Replaying the old id must stay a no-op.
-TEST(EventQueue, StaleIdAfterLazyDrainAndRecycleIsInert) {
-  EventQueue q;
-  const EventId old_id = q.schedule_cancellable(1, [] { FAIL(); });
-  q.schedule(2, [] {});
-  q.cancel(old_id);
-  q.pop().fn();  // drains past the corpse, freeing its slot
-  EXPECT_EQ(q.raw_size(), 0u);
-
-  int fired = 0;
-  q.schedule_cancellable(3, [&] { ++fired; });
-  q.cancel(old_id);  // replay of an already-counted cancel
-  q.cancel(old_id);
-  EXPECT_EQ(q.size(), 1u);  // size() must not have underflowed
-  q.pop().fn();
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(q.size(), 0u);
+  EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
 }
 
 // --- timing-wheel front-end ordering pins --------------------------------
@@ -332,7 +201,7 @@ TEST(EventQueue, FarHorizonEventsMigrateInOrder) {
   q.schedule(from_ms(40), [&] { order.push_back(1); });  // in-wheel
   q.schedule(far + 20, [&] { order.push_back(4); });
   q.schedule(from_ms(90), [&] { order.push_back(2); });  // past horizon
-  while (!q.empty()) q.pop().fn();
+  drain(q);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
@@ -344,7 +213,7 @@ TEST(EventQueue, SameInstantFifoAcrossHeapMigration) {
     q.schedule(t, [&order, i] { order.push_back(i); });
   }
   q.schedule(1, [&] { order.push_back(-1); });
-  while (!q.empty()) q.pop().fn();
+  drain(q);
   ASSERT_EQ(order.size(), 33u);
   EXPECT_EQ(order[0], -1);
   for (int i = 0; i < 32; ++i) {
@@ -362,14 +231,10 @@ TEST(EventQueue, EmptyWheelRebasesToHeapTop) {
       when.push_back(from_sec(10) * (i + 1));
     });
   }
-  TimeNs last = 0;
-  while (!q.empty()) {
-    auto ev = q.pop();
-    EXPECT_GT(ev.when, last);
-    last = ev.when;
-    ev.fn();
-  }
+  const std::vector<TimeNs> fired_at = drain(q);
+  EXPECT_EQ(fired_at, when);
   EXPECT_EQ(when.size(), 10u);
+  EXPECT_TRUE(std::is_sorted(when.begin(), when.end()));
 }
 
 // Handlers scheduling at the *current* instant (zero-delay chains, e.g. a
@@ -403,7 +268,7 @@ TEST(EventQueue, LaneIsSharedPerDelay) {
 
 // Lane and wheel events merge on (when, schedule order): a lane event and
 // a wheel event due at the same instant fire in the order they were
-// scheduled, and the cold pop()/next_time() path sees lane heads too.
+// scheduled, and next_time() sees lane heads too.
 TEST(EventQueue, LaneAndWheelMergeInScheduleOrder) {
   EventQueue q;
   std::vector<int> order;
@@ -415,14 +280,8 @@ TEST(EventQueue, LaneAndWheelMergeInScheduleOrder) {
   q.schedule(10, [&] { order.push_back(2); });
   q.schedule_lane(fast, 5, [&] { order.push_back(3); });
   EXPECT_EQ(q.size(), 5u);
-  EXPECT_EQ(q.raw_size(), 5u);
   EXPECT_EQ(q.next_time(), 10);
-  std::vector<TimeNs> whens;
-  while (!q.empty()) {
-    auto ev = q.pop();
-    whens.push_back(ev.when);
-    ev.fn();
-  }
+  const std::vector<TimeNs> whens = drain(q);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
   EXPECT_EQ(whens, (std::vector<TimeNs>{10, 10, 10, 15, 30}));
   EXPECT_EQ(q.size(), 0u);

@@ -3,11 +3,11 @@
 //
 // Each trial builds a random event tree. Every event carries a plan that is
 // a pure function of (trial seed, event id): child events via schedule_at,
-// schedule_in, schedule_cancellable_at, schedule_lane (several fixed-delay
-// lanes, some delays shared, some equal to wheel offsets so lane and wheel
-// events tie) or schedule_lane_at on a private lane fed the access-path
-// pattern max(last + gap, now + U) (U may be 0, so pushes land at the
-// current instant), cancels of earlier timers, and occasionally stop().
+// schedule_in, schedule_lane (several fixed-delay lanes, some delays
+// shared, some equal to wheel offsets so lane and wheel events tie) or
+// schedule_lane_at on a private lane fed the access-path pattern
+// max(last + gap, now + U) (U may be 0, so pushes land at the current
+// instant), and occasionally stop().
 // Each trial runs the real simulator in slices — run_until deadlines placed
 // exactly on events, between the earliest lane event and the earliest wheel
 // event, and far ahead — under random event budgets, and after every slice
@@ -48,7 +48,7 @@ constexpr TimeNs kJitters[] = {1, 1, 4096, from_us(50), from_ms(3),
                                from_ms(90)};
 constexpr std::uint64_t kMaxEvents = 6000;
 
-enum class OpKind { kAt, kIn, kCancellable, kLane, kPrivate, kCancel, kStop };
+enum class OpKind { kAt, kIn, kLane, kPrivate, kStop };
 
 /// Where an event waits: on the wheel (or far heap), a shared lane, or a
 /// private lane.
@@ -56,9 +56,8 @@ enum class Path { kWheel, kShared, kPrivate };
 
 struct Op {
   OpKind kind;
-  TimeNs offset = 0;       ///< kAt / kIn / kCancellable; kPrivate: U
-  std::size_t lane = 0;    ///< kLane: into kLaneDelays; kPrivate: kPrivateGaps
-  std::uint64_t target = 0;  ///< kCancel: an earlier event id
+  TimeNs offset = 0;     ///< kAt / kIn; kPrivate: U
+  std::size_t lane = 0;  ///< kLane: into kLaneDelays; kPrivate: kPrivateGaps
 };
 
 /// The children and side effects of event `id` (root: id == kMaxEvents).
@@ -81,14 +80,10 @@ std::vector<Op> plan_for(std::uint64_t seed, std::uint64_t id,
       op.offset = static_cast<TimeNs>(rng.next_below(static_cast<std::uint64_t>(
           kJitters[rng.next_below(std::size(kJitters))])));
     } else {
-      op.kind = k < 6 ? OpKind::kAt
-                      : (k < 8 ? OpKind::kIn : OpKind::kCancellable);
+      op.kind = k < 7 ? OpKind::kAt : OpKind::kIn;
       op.offset = kOffsets[rng.next_below(std::size(kOffsets))];
     }
     ops.push_back(op);
-  }
-  if (!root && id > 0 && rng.next_below(4) == 0) {
-    ops.push_back(Op{OpKind::kCancel, 0, 0, rng.next_below(id)});
   }
   if (allow_stop && !root && rng.next_below(3000) == 0) {
     ops.push_back(Op{OpKind::kStop});
@@ -103,7 +98,6 @@ struct Common {
   bool allow_stop = false;
   std::uint64_t next_id = 0;
   std::vector<std::uint64_t> fired;
-  std::vector<bool> cancellable;  ///< by id
   std::uint64_t lane_scheduled = 0;  ///< shared and private
   std::uint64_t private_scheduled = 0;
   TimeNs last_private[kNumPrivate] = {};
@@ -144,41 +138,24 @@ class Real {
       switch (op.kind) {
         case OpKind::kAt:
           ++c_.next_id;
-          c_.cancellable.push_back(false);
-          handles_.push_back(0);
           sim_.schedule_at(sim_.now() + op.offset, fn);
           break;
         case OpKind::kIn:
           ++c_.next_id;
-          c_.cancellable.push_back(false);
-          handles_.push_back(0);
           sim_.schedule_in(op.offset, fn);
-          break;
-        case OpKind::kCancellable:
-          ++c_.next_id;
-          c_.cancellable.push_back(true);
-          handles_.push_back(
-              sim_.schedule_cancellable_at(sim_.now() + op.offset, fn));
           break;
         case OpKind::kLane:
           ++c_.next_id;
           ++c_.lane_scheduled;
-          c_.cancellable.push_back(false);
-          handles_.push_back(0);
           sim_.schedule_lane(lanes_[op.lane], fn);
           break;
         case OpKind::kPrivate:
           ++c_.next_id;
           ++c_.lane_scheduled;
           ++c_.private_scheduled;
-          c_.cancellable.push_back(false);
-          handles_.push_back(0);
           sim_.schedule_lane_at(privates_[op.lane],
                                 c_.private_when(op.lane, sim_.now(), op.offset),
                                 fn);
-          break;
-        case OpKind::kCancel:
-          if (c_.cancellable[op.target]) sim_.cancel(handles_[op.target]);
           break;
         case OpKind::kStop:
           sim_.stop();
@@ -191,7 +168,6 @@ class Real {
   Common c_;
   std::vector<LaneId> lanes_;
   std::vector<LaneId> privates_;
-  std::vector<EventId> handles_;
 };
 
 /// The reference: one ordered set on (when, schedule order), with the
@@ -215,7 +191,6 @@ class Reference {
       if (it == queue_.end() || std::get<0>(*it) > deadline) break;
       const auto [when, id, path] = *it;
       queue_.erase(it);
-      live_.erase(id);
       if (executed_ != 0 && when == now_ && path != last_path_) {
         if ((path == Path::kWheel) != (last_path_ == Path::kWheel)) {
           ++mixed_ties_;
@@ -260,30 +235,20 @@ class Reference {
       switch (op.kind) {
         case OpKind::kAt:
         case OpKind::kIn:
-        case OpKind::kCancellable:
           ++c_.next_id;
-          c_.cancellable.push_back(op.kind == OpKind::kCancellable);
-          push(now_ + op.offset, id, Path::kWheel);
+          queue_.emplace(now_ + op.offset, id, Path::kWheel);
           break;
         case OpKind::kLane:
           ++c_.next_id;
           ++c_.lane_scheduled;
-          c_.cancellable.push_back(false);
-          push(now_ + kLaneDelays[op.lane], id, Path::kShared);
+          queue_.emplace(now_ + kLaneDelays[op.lane], id, Path::kShared);
           break;
         case OpKind::kPrivate:
           ++c_.next_id;
           ++c_.lane_scheduled;
           ++c_.private_scheduled;
-          c_.cancellable.push_back(false);
-          push(c_.private_when(op.lane, now_, op.offset), id, Path::kPrivate);
-          break;
-        case OpKind::kCancel:
-          if (c_.cancellable[op.target] && live_.count(op.target) != 0) {
-            queue_.erase(std::make_tuple(whens_[op.target], op.target,
-                                         Path::kWheel));
-            live_.erase(op.target);
-          }
+          queue_.emplace(c_.private_when(op.lane, now_, op.offset), id,
+                         Path::kPrivate);
           break;
         case OpKind::kStop:
           stopped_ = true;
@@ -292,18 +257,9 @@ class Reference {
     }
   }
 
-  void push(TimeNs when, std::uint64_t id, Path path) {
-    queue_.emplace(when, id, path);
-    live_.insert(id);
-    if (whens_.size() <= id) whens_.resize(id + 1);
-    whens_[id] = when;
-  }
-
   Common c_;
   // (when, id = schedule order, path)
   std::set<std::tuple<TimeNs, std::uint64_t, Path>> queue_;
-  std::set<std::uint64_t> live_;
-  std::vector<TimeNs> whens_;
   TimeNs now_ = 0;
   bool stopped_ = false;
   std::uint64_t executed_ = 0;
@@ -397,24 +353,18 @@ TEST(LaneOrdering, StopMidRunMatchesReference) {
 }
 
 // The trees above must actually exercise every path: shared-lane,
-// private-lane and wheel events, ties between them, and cancellations that
-// hit.
-TEST(LaneOrdering, TrialsCoverLanesTiesAndCancels) {
+// private-lane and wheel events, and ties between them.
+TEST(LaneOrdering, TrialsCoverLanesAndTies) {
   Reference ref{1, false};
   ref.run_until(kTimeInf);
   const Common& c = ref.common();
-  std::size_t cancellable = 0;
-  for (std::uint64_t id = 0; id < c.next_id; ++id) {
-    if (c.cancellable[id]) ++cancellable;
-  }
   EXPECT_GT(c.fired.size(), 1000u);
   EXPECT_GT(c.lane_scheduled, 1000u);
   EXPECT_GT(c.private_scheduled, 500u);
-  EXPECT_GT(cancellable, 100u);
   EXPECT_GT(ref.mixed_ties(), 10u);
   EXPECT_GT(ref.private_ties(), 10u);
-  // Fewer fired than scheduled: some cancels landed.
-  EXPECT_LT(c.fired.size(), c.next_id);
+  // With no stop, every scheduled event fires exactly once.
+  EXPECT_EQ(c.fired.size(), c.next_id);
 
   Real real{1, false};
   real.sim().run();
