@@ -2,10 +2,11 @@
 //
 // Every paper figure is produced by sweeps that push hundreds of millions
 // of packet events through the discrete-event core, so the per-event cost
-// is the scale knob that matters after PR 2's cross-cell parallelism. This
-// driver pins that cost down: it wires four representative dumbbell
-// scenarios directly onto the simulator (no sweep/checkpoint machinery in
-// the way), runs each one, and reports
+// is the scale knob that matters once cells already run in parallel. This
+// harness pins that cost down: it builds four representative scenarios on
+// the production dumbbell (exp/dumbbell.hpp), pre-sized with
+// Dumbbell::reserve() and with no sweep/checkpoint machinery in the way,
+// runs each one, and reports
 //   * events/sec and ns/event over the steady-state window (post-warmup),
 //   * allocations per event in steady state (via the counting-allocator
 //     hook in src/util/alloc_counter.*) — the pooled event core must hold
@@ -45,22 +46,14 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "cc/cc_variant.hpp"
-#include "cc/congestion_control.hpp"
-#include "flow/receiver.hpp"
-#include "flow/sender.hpp"
-#include "net/bottleneck_link.hpp"
-#include "net/delay_line.hpp"
-#include "net/impairment.hpp"
 #include "exp/cli_flags.hpp"
+#include "exp/dumbbell.hpp"
 #include "sim/simulator.hpp"
 #include "util/alloc_counter.hpp"
 #include "util/jsonl.hpp"
@@ -74,14 +67,7 @@ bool g_trap_steady = false;  ///< --trap: abort on first steady-state alloc
 
 struct PerfCase {
   std::string name;
-  int bbr_flows = 1;
-  int cubic_flows = 1;
-  BytesPerSec capacity = mbps(100);
-  TimeNs rtt = from_ms(40);
-  double buffer_bdps = 1.0;
-  TimeNs duration = from_sec(10);
-  TimeNs warmup = from_sec(2);
-  ImpairmentConfig impair;  ///< data-path impairments (pristine by default)
+  Scenario scenario;
 };
 
 struct Measurement {
@@ -111,115 +97,23 @@ struct Measurement {
   }
 };
 
-/// A packet plus its bottleneck sojourn, travelling the forward delay line
-/// (same shape the scenario runner uses).
-struct Delivery {
-  Packet pkt;
-  TimeNs sojourn;
-};
-
-/// SplitMix64 finalizer: deterministic per-flow seed streams.
-std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t stream) {
-  std::uint64_t z = seed + stream * 0x9E3779B97F4A7C15ULL;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
 Measurement run_case(const PerfCase& pc) {
-  const auto n = static_cast<std::uint32_t>(pc.bbr_flows + pc.cubic_flows);
+  const Scenario& s = pc.scenario;
   Simulator sim;
-  const Bytes bdp = bdp_bytes(pc.capacity, pc.rtt);
-  const Bytes buffer = std::max<Bytes>(
-      3 * (kDefaultMss + kHeaderBytes),
-      static_cast<Bytes>(static_cast<double>(bdp) * pc.buffer_bdps));
-  BottleneckLink link{sim, pc.capacity, buffer, n};
-
-  // Pre-size every per-packet pool past its expected high-water mark, so
-  // nothing grows (allocates) inside the measured steady-state window: the
-  // aggregate in-flight span is bounded by BDP + buffer packets, and each
-  // in-flight packet accounts for a handful of scheduled events. Per-flow
-  // pools get the aggregate span scaled by the flow count (with slack for
-  // skew) — oversizing them is not free, because a ring's head sweeps its
-  // whole buffer and an oversized ring trades cache locality for nothing.
-  // All pools still grow on demand if a scenario overruns the hint.
-  const auto total_window_pkts = static_cast<std::size_t>(
-      (bdp + buffer) / (kDefaultMss + kHeaderBytes) + 1);
-  const std::size_t per_flow_pkts = 4 * total_window_pkts / n + 512;
-  sim.reserve_events(16 * total_window_pkts + 4096);
-
-  std::vector<std::unique_ptr<Sender>> senders;
-  std::vector<std::unique_ptr<Receiver>> receivers;
-  std::vector<std::unique_ptr<DelayLine<Delivery>>> fwd;
-  std::vector<std::unique_ptr<DelayLine<Ack>>> rev;
-  std::vector<std::unique_ptr<ImpairmentStage<Packet>>> stages(n);
-  senders.reserve(n);
-  receivers.reserve(n);
-  fwd.reserve(n);
-  rev.reserve(n);
-
-  for (std::uint32_t i = 0; i < n; ++i) {
-    receivers.push_back(std::make_unique<Receiver>(i));
-    fwd.push_back(std::make_unique<DelayLine<Delivery>>(sim, pc.rtt / 2));
-    rev.push_back(
-        std::make_unique<DelayLine<Ack>>(sim, pc.rtt - pc.rtt / 2));
-    if (pc.impair.any()) {
-      stages[i] = std::make_unique<ImpairmentStage<Packet>>(
-          sim, pc.impair, mix_seed(42, i + 1));
-      stages[i]->set_sink([&link](const Packet& p) { link.send(p); });
-    }
-
-    CcConfig cfg;
-    cfg.seed = mix_seed(7, i + 1);
-    const CcKind kind =
-        i < static_cast<std::uint32_t>(pc.bbr_flows) ? CcKind::kBbr
-                                                     : CcKind::kCubic;
-    ImpairmentStage<Packet>* stage = stages[i].get();
-    senders.push_back(std::make_unique<Sender>(
-        sim, i, SenderConfig{}, make_cc_variant(kind, cfg),
-        [&link, stage](const Packet& p) {
-          if (stage != nullptr) {
-            stage->send(p);
-          } else {
-            link.send(p);
-          }
-        }));
-
-
-    senders.back()->reserve_windows(per_flow_pkts);
-    receivers.back()->reserve_reorder(per_flow_pkts);
-
-    fwd[i]->set_sink([&receivers, i](const Delivery& d) {
-      receivers[i]->on_packet(d.pkt, d.sojourn);
-    });
-    receivers[i]->set_ack_sink(
-        [&rev, i](const Ack& ack) { rev[i]->send(ack); });
-    rev[i]->set_sink(
-        [&senders, i](const Ack& ack) { senders[i]->on_ack(ack); });
-  }
-  link.set_sink([&sim, &fwd](const Packet& pkt) {
-    const TimeNs sojourn =
-        pkt.enqueued_at == kTimeNone ? 0 : sim.now() - pkt.enqueued_at;
-    fwd[pkt.flow]->send(Delivery{pkt, sojourn});
-  });
-
-  // Stagger starts across one RTT so slow starts decorrelate (fixed stride:
-  // the bench must be deterministic run to run).
-  for (std::uint32_t i = 0; i < n; ++i) {
-    senders[i]->start(static_cast<TimeNs>(i) * (pc.rtt / std::max(1u, n)));
-  }
+  Dumbbell db{sim, s};
+  db.reserve();
 
   // bbrnash-lint: allow(wall-clock) -- this harness MEASURES wall time
   // (events/sec, ns/event); timing never feeds back into simulation state.
   using Clock = std::chrono::steady_clock;
   const auto t0 = Clock::now();
-  sim.run_until(pc.warmup);
+  sim.run_until(s.warmup);
   const auto t1 = Clock::now();
   const std::uint64_t warm_events = sim.events_executed();
   const std::uint64_t warm_news = allocs::news();
   const std::uint64_t warm_deletes = allocs::deletes();
   if (g_trap_steady) allocs::set_trap(true);
-  sim.run_until(pc.duration);
+  sim.run_until(s.duration);
   if (g_trap_steady) allocs::set_trap(false);
   const auto t2 = Clock::now();
 
@@ -230,52 +124,39 @@ Measurement run_case(const PerfCase& pc) {
   m.steady_wall_sec = std::chrono::duration<double>(t2 - t1).count();
   m.steady_allocs = allocs::news() - warm_news;
   m.steady_frees = allocs::deletes() - warm_deletes;
-  for (const auto& r : receivers) m.packets_delivered += r->packets_received();
+  for (std::uint32_t i = 0; i < db.flows(); ++i) {
+    m.packets_delivered += db.receiver(i).packets_received();
+  }
   return m;
+}
+
+/// `cubic` + `bbr` flows at 40 ms over `capacity_mbps` with a buffer of
+/// `buffer_bdp`, warming up until `warmup` and running to `duration`.
+Scenario make_scenario(int cubic, int bbr, double capacity_mbps,
+                       double buffer_bdp, TimeNs warmup, TimeNs duration) {
+  Scenario s =
+      make_mix_scenario(make_params(capacity_mbps, 40, buffer_bdp), cubic, bbr);
+  s.warmup = warmup;
+  s.duration = duration;
+  return s;
 }
 
 std::vector<PerfCase> make_cases(bool quick) {
   const double scale = quick ? 0.25 : 1.0;
   const auto secs = [scale](double s) { return from_sec(s * scale); };
 
-  PerfCase two_flow;
-  two_flow.name = "two_flow";
-  two_flow.bbr_flows = 1;
-  two_flow.cubic_flows = 1;
-  two_flow.capacity = mbps(200);
-  two_flow.duration = secs(12);
-  two_flow.warmup = secs(4);
+  PerfCase impaired{"impaired",
+                    make_scenario(2, 2, 100, 1, secs(4), secs(12))};
+  ImpairmentConfig& impair = impaired.scenario.impairments;
+  impair.loss_rate = 0.005;
+  impair.jitter = from_ms(2);
+  impair.reorder_rate = 0.001;
+  impair.reorder_delay = from_ms(5);
 
-  PerfCase fifty_flow;
-  fifty_flow.name = "fifty_flow";
-  fifty_flow.bbr_flows = 25;
-  fifty_flow.cubic_flows = 25;
-  fifty_flow.capacity = mbps(400);
-  fifty_flow.duration = secs(8);
-  fifty_flow.warmup = secs(3);
-
-  PerfCase impaired;
-  impaired.name = "impaired";
-  impaired.bbr_flows = 2;
-  impaired.cubic_flows = 2;
-  impaired.capacity = mbps(100);
-  impaired.duration = secs(12);
-  impaired.warmup = secs(4);
-  impaired.impair.loss_rate = 0.005;
-  impaired.impair.jitter = from_ms(2);
-  impaired.impair.reorder_rate = 0.001;
-  impaired.impair.reorder_delay = from_ms(5);
-
-  PerfCase deep_buffer;
-  deep_buffer.name = "deep_buffer";
-  deep_buffer.bbr_flows = 1;
-  deep_buffer.cubic_flows = 1;
-  deep_buffer.capacity = mbps(100);
-  deep_buffer.buffer_bdps = 50.0;
-  deep_buffer.duration = secs(12);
-  deep_buffer.warmup = secs(4);
-
-  return {two_flow, fifty_flow, impaired, deep_buffer};
+  return {{"two_flow", make_scenario(1, 1, 200, 1, secs(4), secs(12))},
+          {"fifty_flow", make_scenario(25, 25, 400, 1, secs(3), secs(8))},
+          impaired,
+          {"deep_buffer", make_scenario(1, 1, 100, 50, secs(4), secs(12))}};
 }
 
 void write_json(const std::string& path, bool quick,

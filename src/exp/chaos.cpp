@@ -3,16 +3,15 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "util/rng.hpp"
+
 namespace bbrnash {
 
 namespace {
 
-/// splitmix64 finalizer: a cheap, well-mixed 64-bit permutation.
+/// One SplitMix64 step from state `x`.
 std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
+  return splitmix64_mix(x + kSplitMix64Gamma);
 }
 
 /// FNV-1a over the site name, so textual sites hash stably across runs.

@@ -12,18 +12,11 @@
 #include <utility>
 #include <vector>
 
-#include "cc/cc_variant.hpp"
 #include "exp/chaos.hpp"
-#include "flow/receiver.hpp"
-#include "flow/sender.hpp"
-#include "net/aqm.hpp"
-#include "net/bottleneck_link.hpp"
-#include "net/delay_line.hpp"
-#include "net/impairment.hpp"
+#include "exp/dumbbell.hpp"
 #include "sim/audit.hpp"
 #include "sim/flight_recorder.hpp"
 #include "sim/simulator.hpp"
-#include "util/rng.hpp"
 
 namespace bbrnash {
 
@@ -154,136 +147,6 @@ Scenario make_mix_scenario(const NetworkParams& net, int num_cubic,
 
 namespace {
 
-/// A packet plus its bottleneck sojourn, travelling the forward delay line.
-struct Delivery {
-  Packet pkt;
-  TimeNs sojourn;
-};
-
-// The dumbbell's per-packet hops, wired by direct calls so the chain
-//   sender -> access path -> [impairment] -> link -> forward path
-//   -> receiver -> [ACK impairment] -> reverse path -> sender
-// inlines end to end (see net/sink.hpp). Each hop is a few pointers.
-
-struct AccessPath;
-
-/// Sender exit: the packet enters its flow's access path.
-struct AccessEntry {
-  AccessPath* path = nullptr;
-  void operator()(const Packet& pkt) const;
-};
-using FlowSender = BasicSender<CcVariant, AccessEntry>;
-
-/// Reverse-path exit: the ACK reaches its sender.
-struct AckArrival {
-  FlowSender* sender = nullptr;
-  void operator()(const Ack& ack) const { sender->on_ack(ack); }
-};
-using ReversePath = DelayLine<Ack, AckArrival>;
-
-/// Receiver exit: the ACK enters the reverse path, through the flow's ACK
-/// impairment stage when it has one.
-struct AckDeparture {
-  ImpairmentStage<Ack>* stage = nullptr;
-  ReversePath* rev = nullptr;
-  void operator()(const Ack& ack) const {
-    if (stage != nullptr) {
-      stage->send(ack);
-    } else {
-      rev->send(ack);
-    }
-  }
-};
-using FlowReceiver = BasicReceiver<AckDeparture>;
-
-/// Forward-path exit: the packet reaches its receiver, noted by the flight
-/// recorder when one is attached.
-struct PacketArrival {
-  FlowReceiver* receiver = nullptr;
-  FlightRecorder* recorder = nullptr;
-  const Simulator* sim = nullptr;
-  void operator()(const Delivery& d) const {
-    if (recorder != nullptr) {
-      recorder->note(sim->now(), FlightEventKind::kDeliver, d.pkt.flow,
-                     d.pkt.seq);
-    }
-    receiver->on_packet(d.pkt, d.sojourn);
-  }
-};
-using ForwardPath = DelayLine<Delivery, PacketArrival>;
-
-/// Bottleneck exit: the served packet enters its flow's forward path with
-/// its queue sojourn.
-struct LinkExit {
-  const Simulator* sim = nullptr;
-  const std::unique_ptr<ForwardPath>* fwd = nullptr;  ///< indexed by flow
-  void operator()(const Packet& pkt) const {
-    const TimeNs sojourn =
-        pkt.enqueued_at == kTimeNone ? 0 : sim->now() - pkt.enqueued_at;
-    fwd[pkt.flow]->send(Delivery{pkt, sojourn});
-  }
-};
-using Link = BasicBottleneckLink<LinkExit>;
-
-/// A flow's access path to the bottleneck. Access jitter (see
-/// Scenario::access_jitter) has a monotonicity guard so a flow's own
-/// packets are never reordered (deliberate reordering is the impairment
-/// stage's job); the packet then enters the flow's impairment stage, or the
-/// bottleneck when the path is clean. The audit ledger and the flight
-/// recorder are noted when attached. The guard makes the flow's arrival
-/// times strictly increasing, so they ride the flow's own private lane
-/// rather than the timing wheel. Access events capture one pointer plus
-/// the packet, which keeps them inside the lane entry's inline buffer.
-struct AccessPath {
-  Simulator* sim = nullptr;
-  Link* link = nullptr;
-  ImpairmentStage<Packet>* stage = nullptr;
-  ConservationAudit* audit = nullptr;
-  FlightRecorder* recorder = nullptr;
-  FlowId flow = 0;
-  Rng rng;
-  TimeNs jitter = 1;
-  LaneId lane = 0;  ///< a private lane (Simulator::private_lane)
-  TimeNs last_arrival = 0;
-
-  void transmit(const Packet& pkt) {
-    if (audit != nullptr) audit->note_injected(flow);
-    if (recorder != nullptr) {
-      recorder->note(sim->now(), FlightEventKind::kInject, flow, pkt.seq,
-                     pkt.is_retransmit ? 1 : 0);
-    }
-    last_arrival = std::max(
-        last_arrival + 1,
-        sim->now() + static_cast<TimeNs>(rng.next_below(
-                         static_cast<std::uint64_t>(jitter))));
-    sim->schedule_lane_at(lane, last_arrival, [this, pkt] { arrive(pkt); });
-  }
-
-  void arrive(const Packet& pkt) const {
-    if (audit != nullptr) audit->note_access_exit(flow);
-    if (stage != nullptr) {
-      stage->send(pkt);
-    } else {
-      link->send(pkt);
-    }
-  }
-};
-
-inline void AccessEntry::operator()(const Packet& pkt) const {
-  path->transmit(pkt);
-}
-
-/// Stateless seed mixer (SplitMix64 finalizer) for per-flow impairment
-/// streams. Deliberately NOT drawn from the scenario's root Rng: a pristine
-/// scenario must stay byte-identical to one where the impairment layer
-/// does not exist at all.
-std::uint64_t impairment_seed(std::uint64_t seed, std::uint64_t stream) {
-  std::uint64_t z = seed + stream * 0x9E3779B97F4A7C15ULL;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
 std::string format_bytes_violation(const char* what, double got,
                                    double bound) {
   char buf[160];
@@ -308,7 +171,6 @@ ExecOutcome execute_scenario(const Scenario& scenario,
                              ChaosInjector* chaos, FlightRecorder* recorder) {
   const auto n = static_cast<std::uint32_t>(scenario.flows.size());
   Simulator sim;
-  Rng rng{scenario.seed};
 
   ExecOutcome out;
 
@@ -361,135 +223,8 @@ ExecOutcome execute_scenario(const Scenario& scenario,
     }
   }
 
-  Link link{sim, scenario.capacity, scenario.buffer_bytes, n};
-  switch (scenario.aqm) {
-    case AqmKind::kDropTail:
-      break;
-    case AqmKind::kRed: {
-      RedConfig red;
-      red.seed = scenario.seed ^ 0x9E3779B97F4A7C15ULL;
-      link.set_aqm(std::make_unique<RedPolicy>(red));
-      break;
-    }
-    case AqmKind::kCoDel:
-      link.set_aqm(std::make_unique<CoDelPolicy>());
-      break;
-  }
-
-  // Bottleneck rate schedule (link flaps / capacity steps).
-  for (const RateChange& c : scenario.capacity_schedule) {
-    if (recorder != nullptr) {
-      sim.schedule_at(c.at, [&link, &sim, recorder, rate = c.rate] {
-        recorder->note(sim.now(), FlightEventKind::kRateChange, 0,
-                       static_cast<std::uint64_t>(rate));
-        link.set_rate(rate);
-      });
-    } else {
-      sim.schedule_at(c.at, [&link, rate = c.rate] { link.set_rate(rate); });
-    }
-  }
-
-  std::vector<std::unique_ptr<FlowSender>> senders;
-  std::vector<std::unique_ptr<FlowReceiver>> receivers;
-  std::vector<std::unique_ptr<ForwardPath>> fwd_lines;
-  std::vector<std::unique_ptr<ReversePath>> rev_lines;
-  senders.reserve(n);
-  receivers.reserve(n);
-  fwd_lines.reserve(n);
-  rev_lines.reserve(n);
-
-  // Impairment stages (created only for impaired paths so the pristine
-  // configuration is exactly the pre-impairment-layer simulation).
-  std::vector<std::unique_ptr<ImpairmentStage<Packet>>> data_stages(n);
-  std::vector<std::unique_ptr<ImpairmentStage<Ack>>> ack_stages(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const ImpairmentConfig& data_cfg =
-        scenario.flows[i].impairments ? *scenario.flows[i].impairments
-                                      : scenario.impairments;
-    if (data_cfg.any()) {
-      data_stages[i] = std::make_unique<ImpairmentStage<Packet>>(
-          sim, data_cfg, impairment_seed(scenario.seed, 2ULL * i + 1));
-      data_stages[i]->set_sink([&link](const Packet& pkt) { link.send(pkt); });
-    }
-    if (scenario.ack_impairments.any()) {
-      ack_stages[i] = std::make_unique<ImpairmentStage<Ack>>(
-          sim, scenario.ack_impairments,
-          impairment_seed(scenario.seed, 2ULL * i + 2));
-    }
-  }
-
-  // Never resized after this: each sender and access event points into it.
-  std::vector<AccessPath> access(n);
-  const TimeNs default_jitter = serialization_time(
-      scenario.mss + kHeaderBytes, scenario.capacity);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    access[i] = AccessPath{&sim, &link, data_stages[i].get(), audit_p,
-                           recorder, i, rng.fork(),
-                           std::max<TimeNs>(1, scenario.access_jitter >= 0
-                                                   ? scenario.access_jitter
-                                                   : default_jitter),
-                           sim.private_lane()};
-  }
-
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const FlowSpec& spec = scenario.flows[i];
-    const TimeNs one_way = spec.base_rtt / 2;
-
-    receivers.push_back(std::make_unique<FlowReceiver>(i));
-    fwd_lines.push_back(std::make_unique<ForwardPath>(sim, one_way));
-    rev_lines.push_back(
-        std::make_unique<ReversePath>(sim, spec.base_rtt - one_way));
-
-    CcConfig cc_cfg;
-    cc_cfg.mss = scenario.mss;
-    cc_cfg.initial_cwnd = 10 * scenario.mss;
-    cc_cfg.seed = rng.next_u64();
-    cc_cfg.bbr_cwnd_gain = scenario.bbr_cwnd_gain;
-    SenderConfig snd_cfg;
-    snd_cfg.mss = scenario.mss;
-    snd_cfg.transfer_bytes = spec.transfer_bytes;
-    senders.push_back(std::make_unique<FlowSender>(
-        sim, i, snd_cfg, make_cc_variant(spec.cc, cc_cfg),
-        AccessEntry{&access[i]}));
-
-    ReversePath* rev = rev_lines[i].get();
-    fwd_lines[i]->set_sink(PacketArrival{receivers[i].get(), recorder, &sim});
-    receivers[i]->set_ack_sink(AckDeparture{ack_stages[i].get(), rev});
-    if (ack_stages[i] != nullptr) {
-      ack_stages[i]->set_sink([rev](const Ack& ack) { rev->send(ack); });
-    }
-    rev->set_sink(AckArrival{senders[i].get()});
-  }
-
-  link.set_sink(LinkExit{&sim, fwd_lines.data()});
-  if (recorder != nullptr) {
-    link.set_drop_hook([&sim, recorder](const Packet& pkt) {
-      recorder->note(sim.now(), FlightEventKind::kQueueDrop, pkt.flow,
-                     pkt.seq);
-    });
-  }
-
-  // Group instrumentation: aggregate CUBIC occupancy drives the model's
-  // b_cmin / b_cmax validation, aggregate non-CUBIC occupancy is b_b.
-  std::vector<FlowId> cubic_ids;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (scenario.flows[i].cc == CcKind::kCubic) cubic_ids.push_back(i);
-  }
-  if (!cubic_ids.empty()) link.queue().track_group(cubic_ids);
-
-  // Start flows: explicit start times win; otherwise a deterministic
-  // jitter decorrelates the slow starts.
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const TimeNs jitter =
-        scenario.start_jitter > 0
-            ? static_cast<TimeNs>(rng.next_below(
-                  static_cast<std::uint64_t>(scenario.start_jitter)))
-            : 0;
-    const TimeNs at = scenario.flows[i].start_at != kTimeNone
-                          ? scenario.flows[i].start_at
-                          : jitter;
-    senders[i]->start(at);
-  }
+  Dumbbell db{sim, scenario, audit_p, recorder};
+  auto& link = db.link();
 
   // Telemetry sampling.
   if (scenario.sample_period > 0 && scenario.on_sample) {
@@ -505,14 +240,14 @@ ExecOutcome execute_scenario(const Scenario& scenario,
         for (std::uint32_t i = 0; i < n; ++i) {
           FlowSnapshot fs;
           fs.cc = scenario.flows[i].cc;
-          fs.cwnd = senders[i]->cc().cwnd();
-          fs.pacing_rate = senders[i]->cc().pacing_rate();
-          fs.inflight = senders[i]->inflight_bytes();
-          fs.delivered = senders[i]->delivered_bytes();
+          fs.cwnd = db.sender(i).cc().cwnd();
+          fs.pacing_rate = db.sender(i).cc().pacing_rate();
+          fs.inflight = db.sender(i).inflight_bytes();
+          fs.delivered = db.sender(i).delivered_bytes();
           fs.queue_bytes = link.queue().flow_occupancy(i);
-          fs.retransmits = senders[i]->retransmit_count();
-          fs.rtos = senders[i]->rto_count();
-          fs.smoothed_rtt = senders[i]->smoothed_rtt();
+          fs.retransmits = db.sender(i).retransmit_count();
+          fs.rtos = db.sender(i).rto_count();
+          fs.smoothed_rtt = db.sender(i).smoothed_rtt();
           snap.flows.push_back(fs);
         }
         scenario.on_sample(snap);
@@ -538,33 +273,33 @@ ExecOutcome execute_scenario(const Scenario& scenario,
           f = FlowAuditSample{};
           f.injected = audit_p->injected(i);
           f.access_pending = audit_p->access_pending(i);
-          if (data_stages[i] != nullptr) {
-            const ImpairmentCounters& c = data_stages[i]->counters();
+          if (const auto* stage = db.data_stage(i)) {
+            const ImpairmentCounters& c = stage->counters();
             f.stage_dropped = c.dropped;
             f.stage_duplicated = c.duplicated;
-            f.stage_pending = data_stages[i]->pending();
+            f.stage_pending = stage->pending();
           }
           f.queue_packets = link.queue().flow_packets(i);
           f.queue_dropped = link.queue().drops(i);
-          f.fwd_pending = fwd_lines[i]->pending();
-          f.delivered = receivers[i]->packets_received();
-          f.acks_emitted = receivers[i]->packets_received();
-          if (ack_stages[i] != nullptr) {
-            const ImpairmentCounters& c = ack_stages[i]->counters();
+          f.fwd_pending = db.forward_path(i).pending();
+          f.delivered = db.receiver(i).packets_received();
+          f.acks_emitted = db.receiver(i).packets_received();
+          if (const auto* stage = db.ack_stage(i)) {
+            const ImpairmentCounters& c = stage->counters();
             f.ack_stage_dropped = c.dropped;
             f.ack_stage_duplicated = c.duplicated;
-            f.ack_stage_pending = ack_stages[i]->pending();
+            f.ack_stage_pending = stage->pending();
           }
-          f.rev_pending = rev_lines[i]->pending();
-          f.acks_received = senders[i]->acks_received();
-          f.cwnd = senders[i]->cc().cwnd();
-          f.pacing_rate = senders[i]->cc().pacing_rate();
-          f.srtt = senders[i]->smoothed_rtt();
+          f.rev_pending = db.reverse_path(i).pending();
+          f.acks_received = db.sender(i).acks_received();
+          f.cwnd = db.sender(i).cc().cwnd();
+          f.pacing_rate = db.sender(i).cc().pacing_rate();
+          f.srtt = db.sender(i).smoothed_rtt();
           f.base_rtt = scenario.flows[i].base_rtt;
-          f.cum_next = receivers[i]->cumulative_next();
-          f.delivered_bytes = senders[i]->delivered_bytes();
-          f.retransmits = senders[i]->retransmit_count();
-          f.rtos = senders[i]->rto_count();
+          f.cum_next = db.receiver(i).cumulative_next();
+          f.delivered_bytes = db.sender(i).delivered_bytes();
+          f.retransmits = db.sender(i).retransmit_count();
+          f.rtos = db.sender(i).rto_count();
           flow_bytes_sum += link.queue().flow_occupancy(i);
           if (recorder != nullptr) {
             recorder->note(t, FlightEventKind::kCcSnapshot, i,
@@ -591,8 +326,7 @@ ExecOutcome execute_scenario(const Scenario& scenario,
   // Begin measurement after warm-up.
   Bytes served_at_warmup = 0;
   sim.schedule_at(scenario.warmup, [&] {
-    link.queue().begin_measurement(sim.now());
-    for (auto& s : senders) s->begin_measurement();
+    db.begin_measurement();
     served_at_warmup = link.bytes_served();
   });
 
@@ -655,7 +389,7 @@ ExecOutcome execute_scenario(const Scenario& scenario,
     fr.cc = scenario.flows[i].cc;
     fr.base_rtt = scenario.flows[i].base_rtt;
 
-    const FlowSender& s = *senders[i];
+    const Dumbbell::FlowSender& s = db.sender(i);
     FlowStats st;
     st.goodput_bps =
         window_sec > 0.0
@@ -687,7 +421,7 @@ ExecOutcome execute_scenario(const Scenario& scenario,
           : 0.0;
   res.total_drops = link.queue().total_drops();
 
-  if (!cubic_ids.empty()) {
+  if (!db.cubic_flows().empty()) {
     res.cubic_buffer_avg = link.queue().group_avg_occupancy();
     res.cubic_buffer_min = link.queue().group_min_occupancy();
     res.cubic_buffer_max = link.queue().group_max_occupancy();
@@ -701,15 +435,15 @@ ExecOutcome execute_scenario(const Scenario& scenario,
   res.noncubic_buffer_avg = noncubic_avg;
 
   for (std::uint32_t i = 0; i < n; ++i) {
-    if (data_stages[i] != nullptr) {
-      const ImpairmentCounters& c = data_stages[i]->counters();
+    if (const auto* stage = db.data_stage(i)) {
+      const ImpairmentCounters& c = stage->counters();
       res.data_impairments.offered += c.offered;
       res.data_impairments.dropped += c.dropped;
       res.data_impairments.duplicated += c.duplicated;
       res.data_impairments.reordered += c.reordered;
     }
-    if (ack_stages[i] != nullptr) {
-      const ImpairmentCounters& c = ack_stages[i]->counters();
+    if (const auto* stage = db.ack_stage(i)) {
+      const ImpairmentCounters& c = stage->counters();
       res.ack_impairments.offered += c.offered;
       res.ack_impairments.dropped += c.dropped;
       res.ack_impairments.duplicated += c.duplicated;

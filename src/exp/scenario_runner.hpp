@@ -1,14 +1,8 @@
-// ScenarioRunner: wires a Scenario into a live dumbbell simulation and
-// extracts a RunResult.
+// ScenarioRunner: runs a Scenario on its dumbbell (exp/dumbbell.hpp)
+// under a watchdog and extracts a RunResult.
 //
-// Topology per flow i (base RTT r_i):
-//
-//   Sender_i --(instant)--> [BottleneckLink: rate C, drop-tail buffer B]
-//            --(serialize)--> DelayLine fwd (r_i/2) --> Receiver_i
-//   Receiver_i --ACK--> DelayLine rev (r_i/2) --> Sender_i
-//
-// All of a flow's propagation delay is split across the two delay lines, so
-// the base (congestion-free) RTT is exactly r_i and every queueing byte
+// All of a flow's propagation delay is split across its two delay lines,
+// so the base (congestion-free) RTT is exactly r_i and every queueing byte
 // adds sojourn time at the shared bottleneck — the configuration the
 // paper's model describes (Fig. 2).
 #pragma once

@@ -17,8 +17,9 @@
 // cc/cc_variant.hpp for the callbacks it must provide). `Transmit` is the
 // exit hop, any callable taking `const Packet&`; a concrete hop type lets
 // maybe_send() inline into it. Sender is the CcVariant instantiation with a
-// std::function exit, compiled once in sender.cpp; the scenario runner
-// plugs in its access path, and tests instantiate scripted doubles.
+// std::function exit, compiled once in sender.cpp; the dumbbell
+// (exp/dumbbell.hpp) plugs in its access path, and tests instantiate
+// scripted doubles.
 #pragma once
 
 #include <algorithm>

@@ -2,11 +2,11 @@
 // Receiver) hands each item on.
 //
 // Each element takes its sink type as a template parameter. The default
-// is a std::function, settable at any time and empty until set, which
-// keeps ad-hoc wiring (tests, tools, examples) simple. The production
-// dumbbell (execute_scenario) instead plugs in small structs whose
-// operator() calls the next element directly, so a packet's hop chain
-// inlines with no type-erased call in between.
+// is a std::function, settable at any time and empty until set; it serves
+// unit tests, the Loopback test helper, examples and the benchmark's
+// traced mirror. The production dumbbell (exp/dumbbell.hpp) instead plugs
+// in small structs whose operator() calls the next element directly, so a
+// packet's hop chain inlines with no type-erased call in between.
 #pragma once
 
 #include <type_traits>

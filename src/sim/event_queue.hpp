@@ -308,6 +308,28 @@ class EventQueue {
     ++lane_n_;
   }
 
+  /// Grows lane `id`'s circle until it holds `n` live entries wherever its
+  /// head and tail sit, so pushes up to that depth splice no segment. The
+  /// lane heap, which holds at most one key per lane, makes room for twice
+  /// the lanes there are, so lanes created later (a link's service lane
+  /// appears at its first service) fit too.
+  void reserve_lane(LaneId id, std::size_t n) {
+    lane_heap_.reserve(2 * lanes_.size());
+    Lane& l = lanes_[id];
+    if (l.tail == nullptr) {
+      l.tail = splice_segment(l);
+      l.tail_entries = l.tail->entries.get();
+      l.tail_at = 0;
+    }
+    // A tail that wraps round to the head's segment splices rather than
+    // share it, so the circle holds one segment less than its size.
+    std::size_t held = 0;
+    for (Segment* s = l.head->next; s != l.head; s = s->next) {
+      held += l.segment_entries;
+    }
+    for (; held < n; held += l.segment_entries) splice_segment(l);
+  }
+
   [[nodiscard]] bool empty() { return locate_next() == Next::kNone; }
 
   /// Number of queued events, lane events included.
@@ -738,24 +760,28 @@ class EventQueue {
   /// (or when the lane has no segment yet).
   void advance_tail(Lane& l) {
     Segment* next = l.tail == nullptr ? nullptr : l.tail->next;
-    if (next == nullptr || next == l.head) {
-      segments_.push_back(std::make_unique<Segment>(Segment{
-          std::make_unique_for_overwrite<LaneEntry[]>(l.segment_entries),
-          nullptr}));
-      Segment* fresh = segments_.back().get();
-      if (l.tail == nullptr) {
-        fresh->next = fresh;
-        l.head = fresh;
-        l.head_entries = fresh->entries.get();
-      } else {
-        fresh->next = next;
-        l.tail->next = fresh;
-      }
-      next = fresh;
-    }
+    if (next == nullptr || next == l.head) next = splice_segment(l);
     l.tail = next;
     l.tail_entries = next->entries.get();
     l.tail_at = 0;
+  }
+
+  /// Splices a fresh segment into `l`'s circle right after its tail, or
+  /// makes it the whole circle (and the head) when the lane has none.
+  Segment* splice_segment(Lane& l) {
+    segments_.push_back(std::make_unique<Segment>(Segment{
+        std::make_unique_for_overwrite<LaneEntry[]>(l.segment_entries),
+        nullptr}));
+    Segment* fresh = segments_.back().get();
+    if (l.tail == nullptr) {
+      fresh->next = fresh;
+      l.head = fresh;
+      l.head_entries = fresh->entries.get();
+    } else {
+      fresh->next = l.tail->next;
+      l.tail->next = fresh;
+    }
+    return fresh;
   }
 
   /// Heap-inserts a lane that just became non-empty.

@@ -119,6 +119,8 @@ class Simulator {
   }
   /// Pre-sizes the event pool (see EventQueue::reserve).
   void reserve_events(std::size_t n) { queue_.reserve(n); }
+  /// Pre-sizes `lane` to hold `n` queued events (see EventQueue::reserve_lane).
+  void reserve_lane(LaneId lane, std::size_t n) { queue_.reserve_lane(lane, n); }
 
  private:
   EventQueue queue_;

@@ -10,22 +10,26 @@
 
 namespace bbrnash {
 
+/// SplitMix64's increment (the golden-ratio gamma).
+inline constexpr std::uint64_t kSplitMix64Gamma = 0x9E3779B97F4A7C15ULL;
+
+/// SplitMix64's output finalizer: a cheap, well-mixed 64-bit permutation.
+/// One SplitMix64 step is splitmix64_mix(state += kSplitMix64Gamma).
+[[nodiscard]] constexpr std::uint64_t splitmix64_mix(std::uint64_t z) noexcept {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
 class Rng {
  public:
   /// Seeds the full 256-bit state from a 64-bit seed via SplitMix64, per the
   /// xoshiro authors' recommendation.
-  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL) noexcept { reseed(seed); }
+  explicit Rng(std::uint64_t seed = kSplitMix64Gamma) noexcept { reseed(seed); }
 
   void reseed(std::uint64_t seed) noexcept {
     std::uint64_t x = seed;
-    for (auto& word : state_) {
-      // SplitMix64 step.
-      x += 0x9E3779B97F4A7C15ULL;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-      z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-      word = z ^ (z >> 31);
-    }
+    for (auto& word : state_) word = splitmix64_mix(x += kSplitMix64Gamma);
   }
 
   /// Raw 64 uniform bits (xoshiro256++ step).

@@ -420,5 +420,35 @@ TEST(EventQueue, LaneSegmentsAreReusedAfterADrain) {
   EXPECT_EQ(first, second);
 }
 
+// Reserving splices segments in after the tail, so it keeps the ring's
+// order whether the lane is empty or holds live entries with its head
+// part-way through a segment.
+TEST(EventQueue, ReservingALaneKeepsItsOrder) {
+  EventQueue q;
+  const LaneId fresh = q.private_lane();
+  const LaneId busy = q.private_lane();
+  q.reserve_lane(fresh, 40);
+  std::vector<int> order;
+  TimeNs clock = 0;
+  for (int i = 0; i < 20; ++i) {
+    q.push_lane(busy, i, [&order, i] { order.push_back(i); });
+  }
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.run_one(kTimeInf, clock));
+  q.reserve_lane(busy, 100);
+  for (int i = 20; i < 100; ++i) {
+    q.push_lane(busy, i, [&order, i] { order.push_back(i); });
+  }
+  for (int i = 0; i < 40; ++i) {
+    q.push_lane(fresh, 1000 + i, [&order, i] { order.push_back(1000 + i); });
+  }
+  while (q.run_one(kTimeInf, clock)) {
+  }
+  std::vector<int> expected;
+  for (int i = 0; i < 100; ++i) expected.push_back(i);
+  for (int i = 0; i < 40; ++i) expected.push_back(1000 + i);
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(q.size(), 0u);
+}
+
 }  // namespace
 }  // namespace bbrnash
