@@ -11,6 +11,9 @@
 //   * allocations per event in steady state (via the counting-allocator
 //     hook in src/util/alloc_counter.*) — the pooled event core must hold
 //     this at exactly zero,
+//   * the bytes requested from operator new from building the dumbbell
+//     through warm-up (per-flow state plus the pools' high-water sizes;
+//     deterministic, like the allocation counts),
 //   * packet throughput as a sanity anchor.
 //
 // Scenarios: 2-flow (the paper's Fig. 3 shape), 50-flow (Fig. 9 shape, the
@@ -77,6 +80,7 @@ struct Measurement {
   double steady_wall_sec = 0.0;
   std::uint64_t steady_allocs = 0;
   std::uint64_t steady_frees = 0;
+  std::uint64_t setup_bytes = 0;
   std::uint64_t packets_delivered = 0;
 
   [[nodiscard]] double events_per_sec() const {
@@ -100,6 +104,7 @@ struct Measurement {
 Measurement run_case(const PerfCase& pc) {
   const Scenario& s = pc.scenario;
   Simulator sim;
+  const std::uint64_t bytes0 = allocs::bytes();
   Dumbbell db{sim, s};
   db.reserve();
 
@@ -110,6 +115,7 @@ Measurement run_case(const PerfCase& pc) {
   sim.run_until(s.warmup);
   const auto t1 = Clock::now();
   const std::uint64_t warm_events = sim.events_executed();
+  const std::uint64_t warm_bytes = allocs::bytes();
   const std::uint64_t warm_news = allocs::news();
   const std::uint64_t warm_deletes = allocs::deletes();
   if (g_trap_steady) allocs::set_trap(true);
@@ -124,6 +130,7 @@ Measurement run_case(const PerfCase& pc) {
   m.steady_wall_sec = std::chrono::duration<double>(t2 - t1).count();
   m.steady_allocs = allocs::news() - warm_news;
   m.steady_frees = allocs::deletes() - warm_deletes;
+  m.setup_bytes = warm_bytes - bytes0;
   for (std::uint32_t i = 0; i < db.flows(); ++i) {
     m.packets_delivered += db.receiver(i).packets_received();
   }
@@ -179,12 +186,13 @@ void write_json(const std::string& path, bool quick,
         "\"steady_wall_sec\": %.6f, \"events_per_sec\": %.0f, "
         "\"ns_per_event\": %.2f, \"allocs_per_event\": %.8f, "
         "\"steady_allocs\": %llu, \"steady_frees\": %llu, "
-        "\"packets_delivered\": %llu}%s\n",
+        "\"setup_bytes\": %llu, \"packets_delivered\": %llu}%s\n",
         cases[i].name.c_str(),
         static_cast<unsigned long long>(m.steady_events), m.steady_wall_sec,
         m.events_per_sec(), m.ns_per_event(), m.allocs_per_event(),
         static_cast<unsigned long long>(m.steady_allocs),
         static_cast<unsigned long long>(m.steady_frees),
+        static_cast<unsigned long long>(m.setup_bytes),
         static_cast<unsigned long long>(m.packets_delivered),
         i + 1 < cases.size() ? "," : "");
     os << buf;
@@ -374,8 +382,9 @@ int main(int argc, char** argv) {
   results.reserve(cases.size());
   std::printf("simulator-core perf harness (%s)\n",
               quick ? "quick" : "full");
-  std::printf("%-12s %14s %12s %12s %16s %12s\n", "scenario", "events",
-              "events/sec", "ns/event", "allocs/event", "pkts");
+  std::printf("%-12s %14s %12s %12s %16s %12s %12s\n", "scenario",
+              "events", "events/sec", "ns/event", "allocs/event",
+              "setup_bytes", "pkts");
   bool clean = true;
   for (const PerfCase& pc : cases) {
     Measurement best;
@@ -386,11 +395,12 @@ int main(int argc, char** argv) {
     // Steady-state allocations are deterministic (they depend only on the
     // simulated workload, never on timing), so the zero check is CI-safe.
     if (best.steady_allocs != 0) clean = false;
-    std::printf("%-12s %14llu %12.0f %12.1f %16.8f %12llu\n",
+    std::printf("%-12s %14llu %12.0f %12.1f %16.8f %12llu %12llu\n",
                 pc.name.c_str(),
                 static_cast<unsigned long long>(best.steady_events),
                 best.events_per_sec(), best.ns_per_event(),
                 best.allocs_per_event(),
+                static_cast<unsigned long long>(best.setup_bytes),
                 static_cast<unsigned long long>(best.packets_delivered));
     results.push_back(best);
   }

@@ -7,11 +7,7 @@ namespace bbrnash {
 Bbr::Bbr(const BbrConfig& cfg)
     : cfg_(cfg),
       rng_(cfg.seed),
-      btlbw_(FilterKind::kMax, /*window=*/cfg.btlbw_window_rounds, 0.0) {
-  // Per-ack bandwidth samples: pre-size the monotone ring so the filter
-  // never grows (allocates) on the ack hot path mid-run.
-  btlbw_.reserve(4096);
-}
+      btlbw_(cfg.btlbw_window_rounds) {}
 
 void Bbr::on_start(TimeNs now) {
   cwnd_ = cfg_.initial_cwnd;
@@ -62,7 +58,7 @@ void Bbr::update_btlbw(const AckEvent& ev) {
   // The draft only discards app-limited samples that are below the current
   // estimate; our bulk flows are never app-limited.
   if (!ev.rate_app_limited || ev.delivery_rate >= btlbw_.best()) {
-    btlbw_.update(static_cast<TimeNs>(round_count_), ev.delivery_rate);
+    btlbw_.update(round_count_, ev.delivery_rate);
   }
 }
 

@@ -88,7 +88,7 @@ class Bbr {
   double cwnd_gain_now_ = 1.0;
   Bytes cwnd_ = 0;
 
-  WindowedFilter<BytesPerSec> btlbw_;
+  RoundMaxFilter btlbw_;  ///< max delivery rate over the last rounds
   // RTprop is NOT a sliding-window min: per the draft it is an explicit
   // estimate plus the timestamp of its last adoption. A sample is adopted
   // when it improves the estimate OR when the estimate is older than the

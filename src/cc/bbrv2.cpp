@@ -7,9 +7,7 @@ namespace bbrnash {
 BbrV2::BbrV2(const BbrV2Config& cfg)
     : cfg_(cfg),
       rng_(cfg.seed),
-      btlbw_(FilterKind::kMax, cfg.btlbw_window_rounds, 0.0) {
-  btlbw_.reserve(4096);  // no filter growth on the ack hot path
-}
+      btlbw_(cfg.btlbw_window_rounds) {}
 
 void BbrV2::on_start(TimeNs now) {
   cwnd_raw_ = cfg_.initial_cwnd;
@@ -67,7 +65,7 @@ void BbrV2::update_round(const AckEvent& ev) {
 void BbrV2::update_filters(const AckEvent& ev) {
   if (ev.delivery_rate > 0 &&
       (!ev.rate_app_limited || ev.delivery_rate >= btlbw_.best())) {
-    btlbw_.update(static_cast<TimeNs>(round_count_), ev.delivery_rate);
+    btlbw_.update(round_count_, ev.delivery_rate);
   }
   rtprop_expired_ = ev.now > rtprop_stamp_ + cfg_.rtprop_window;
   if (ev.rtt != kTimeNone && (ev.rtt <= rtprop_ || rtprop_expired_)) {

@@ -87,7 +87,7 @@ class BbrV2 {
   double cwnd_gain_now_ = 1.0;
   Bytes cwnd_raw_ = 0;
 
-  WindowedFilter<BytesPerSec> btlbw_;
+  RoundMaxFilter btlbw_;  ///< max delivery rate over the last rounds
   // Explicit RTprop estimate + adoption stamp (see Bbr for why this must
   // not be a sliding-window min).
   TimeNs rtprop_ = kTimeInf;

@@ -11,10 +11,15 @@
 // simulated workload (never on wall-clock timing), so the exact-zero
 // assertion is deterministic and CI-safe, and it holds in sanitizer builds
 // too: the sanitize/tsan presets run this test, so a pooling regression
-// fails loudly everywhere.
+// fails loudly everywhere. One more case, apart from any dumbbell, bounds
+// what a BBR flow's bandwidth filter asks of the allocator.
+
+#include <algorithm>
 
 #include <gtest/gtest.h>
 
+#include "cc/bbr.hpp"
+#include "cc/bbrv2.hpp"
 #include "exp/dumbbell.hpp"
 #include "util/alloc_counter.hpp"
 #include "util/units.hpp"
@@ -113,6 +118,63 @@ TEST(ZeroAlloc, ImpairedAckPathSteadyStateAllocatesNothing) {
   EXPECT_GT(a.events, 10000u);
   EXPECT_EQ(a.news, 0u) << "steady-state hot path allocated";
   EXPECT_EQ(a.deletes, 0u) << "steady-state hot path freed";
+}
+
+struct BbrAllocs {
+  std::uint64_t build_bytes = 0;  ///< requested by the constructor
+  std::uint64_t rounds = 0;       ///< rounds the ACKs spanned
+  std::uint64_t news = 0;         ///< allocations the ACKs made
+};
+
+/// Builds a `Cc` and feeds it 10^5 synthetic ACKs, 50 packets in flight,
+/// with a delivery rate that wanders so the bandwidth filter keeps
+/// changing its max.
+template <typename Cc>
+BbrAllocs drive_bbr() {
+  BbrAllocs out;
+  const std::uint64_t bytes0 = allocs::bytes();
+  Cc cc;
+  out.build_bytes = allocs::bytes() - bytes0;
+  cc.on_start(0);
+
+  constexpr Bytes kMss = 1448;
+  const std::uint64_t news0 = allocs::news();
+  Bytes delivered = 0;
+  Bytes next_round = 0;
+  for (int i = 1; i <= 100000; ++i) {
+    AckEvent ev;
+    ev.now = from_us(100) * i;
+    ev.rtt = from_ms(40) + from_us(i % 13);
+    ev.acked_bytes = kMss;
+    ev.prior_delivered = std::max<Bytes>(0, delivered - 50 * kMss);
+    delivered += kMss;
+    ev.delivered = delivered;
+    ev.delivery_rate = 1e7 * (1.0 + 0.01 * ((i * 7919) % 101));
+    ev.inflight = 50 * kMss;
+    if (ev.prior_delivered >= next_round) {
+      next_round = delivered;
+      ++out.rounds;
+    }
+    cc.on_ack(ev);
+  }
+  out.news = allocs::news() - news0;
+  return out;
+}
+
+// BBR's bandwidth filter spans 10 rounds, so its storage is bounded by
+// that window and not by the run: building a BBR flow requests under
+// 1 KiB, and ACKs spread over more than a thousand rounds allocate
+// nothing.
+TEST(ZeroAlloc, BbrBandwidthFilterIsBoundedByItsWindow) {
+  const BbrAllocs v1 = drive_bbr<Bbr>();
+  EXPECT_LT(v1.build_bytes, 1024u) << "building a Bbr";
+  EXPECT_GT(v1.rounds, 1000u);
+  EXPECT_EQ(v1.news, 0u) << "Bbr allocated on the ACK path";
+
+  const BbrAllocs v2 = drive_bbr<BbrV2>();
+  EXPECT_LT(v2.build_bytes, 1024u) << "building a BbrV2";
+  EXPECT_GT(v2.rounds, 1000u);
+  EXPECT_EQ(v2.news, 0u) << "BbrV2 allocated on the ACK path";
 }
 
 }  // namespace

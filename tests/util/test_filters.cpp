@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace bbrnash {
@@ -129,6 +132,85 @@ constexpr FilterSweepParam kFilterSweepCases[] = {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, WindowedFilterProperty,
                          ::testing::ValuesIn(kFilterSweepCases));
+
+TEST(RoundMaxFilter, EmptyUntilFirstUpdate) {
+  RoundMaxFilter f{10};
+  EXPECT_TRUE(f.empty());
+  EXPECT_EQ(f.best(), 0.0);
+  f.update(3, 7.0);
+  EXPECT_FALSE(f.empty());
+  EXPECT_EQ(f.best(), 7.0);
+}
+
+TEST(RoundMaxFilter, RejectsNegativeWindow) {
+  EXPECT_THROW(RoundMaxFilter{-1}, std::invalid_argument);
+}
+
+TEST(RoundMaxFilter, ExpiresWholeRounds) {
+  RoundMaxFilter f{2};
+  f.update(0, 9);
+  f.update(1, 4);
+  f.update(1, 5);
+  f.update(2, 1);
+  EXPECT_EQ(f.best(), 9.0);  // rounds 0..2 are in the window
+  f.update(3, 2);
+  EXPECT_EQ(f.best(), 5.0);  // round 0 expired; round 1's max was 5
+  f.update(9, 3);
+  EXPECT_EQ(f.best(), 3.0);  // a jump past the window leaves only round 9
+}
+
+// Feeds RoundMaxFilter and the exact WindowedFilter the same stream of
+// non-decreasing rounds, each step advancing the round by a gap drawn from
+// `gaps`, and requires the same best()/empty() after every update. Values
+// come from `levels` integer levels (few levels make equal maxima common),
+// or are uniform when `levels` is 0.
+void expect_same_as_windowed_filter(int window, std::uint64_t seed,
+                                    const std::vector<std::uint64_t>& gaps,
+                                    std::uint64_t levels) {
+  RoundMaxFilter fast{window};
+  WindowedFilter<double> exact{FilterKind::kMax, window, 0.0};
+  Rng rng{seed};
+  std::uint64_t round = 0;
+  for (int i = 0; i < 3000; ++i) {
+    round += gaps[rng.next_below(gaps.size())];
+    const double v = levels == 0
+                         ? rng.uniform(0, 1000)
+                         : static_cast<double>(rng.next_below(levels));
+    fast.update(round, v);
+    exact.update(static_cast<TimeNs>(round), v);
+    ASSERT_EQ(fast.empty(), exact.empty()) << "at step " << i;
+    ASSERT_EQ(fast.best(), exact.best())
+        << "window " << window << " seed " << seed << " step " << i
+        << " round " << round;
+  }
+}
+
+TEST(RoundMaxFilter, MatchesWindowedFilterOnSameRoundBursts) {
+  for (const int window : {0, 1, 10}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      expect_same_as_windowed_filter(window, seed, {0, 0, 0, 0, 0, 0, 1}, 0);
+    }
+  }
+}
+
+TEST(RoundMaxFilter, MatchesWindowedFilterAcrossGapsWiderThanWindow) {
+  for (const int window : {0, 1, 10}) {
+    const auto w = static_cast<std::uint64_t>(window);
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      expect_same_as_windowed_filter(
+          window, seed, {0, 1, 1, w, w + 1, w + 2, 2 * w + 3, 40}, 0);
+    }
+  }
+}
+
+TEST(RoundMaxFilter, MatchesWindowedFilterOnEqualMaxima) {
+  for (const int window : {0, 1, 10}) {
+    const auto w = static_cast<std::uint64_t>(window);
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      expect_same_as_windowed_filter(window, seed, {0, 0, 1, 1, 2, w + 1}, 3);
+    }
+  }
+}
 
 TEST(KernelMinmaxFilter, TracksRisingMax) {
   KernelMinmaxFilter<double> f{100, 0.0};
