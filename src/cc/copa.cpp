@@ -7,10 +7,7 @@ namespace bbrnash {
 Copa::Copa(const CopaConfig& cfg)
     : cfg_(cfg),
       min_rtt_(FilterKind::kMin, cfg.min_rtt_window, kTimeInf),
-      standing_rtt_(FilterKind::kMin, from_ms(50), kTimeInf) {
-  min_rtt_.reserve(4096);  // no filter growth on the ack hot path
-  standing_rtt_.reserve(4096);
-}
+      standing_rtt_(FilterKind::kMin, from_ms(50), kTimeInf) {}
 
 void Copa::on_start(TimeNs now) {
   (void)now;

@@ -15,13 +15,13 @@ std::uint64_t impairment_seed(std::uint64_t seed, std::uint64_t stream) {
   return splitmix64_mix(seed + stream * kSplitMix64Gamma);
 }
 
-std::size_t window_packets(const Scenario& scenario) {
+/// The scenario's BDP at its longest base RTT, in packets, rounded up.
+std::size_t bdp_packets(const Scenario& scenario) {
   TimeNs rtt = 0;
   for (const FlowSpec& f : scenario.flows) rtt = std::max(rtt, f.base_rtt);
-  return static_cast<std::size_t>(
-      (bdp_bytes(scenario.capacity, rtt) + scenario.buffer_bytes) /
-          (scenario.mss + kHeaderBytes) +
-      1);
+  return static_cast<std::size_t>(bdp_bytes(scenario.capacity, rtt) /
+                                  (scenario.mss + kHeaderBytes)) +
+         1;
 }
 
 }  // namespace
@@ -30,7 +30,9 @@ Dumbbell::Dumbbell(Simulator& sim, const Scenario& scenario,
                    ConservationAudit* audit, FlightRecorder* recorder)
     : sim_(sim),
       n_(static_cast<std::uint32_t>(scenario.flows.size())),
-      window_packets_(window_packets(scenario)),
+      bdp_packets_(bdp_packets(scenario)),
+      buffer_packets_(static_cast<std::size_t>(
+          scenario.buffer_bytes / (scenario.mss + kHeaderBytes))),
       link_(sim, scenario.capacity, scenario.buffer_bytes, n_) {
   Rng rng{scenario.seed};
   switch (scenario.aqm) {
@@ -155,12 +157,17 @@ Dumbbell::Dumbbell(Simulator& sim, const Scenario& scenario,
 }
 
 void Dumbbell::reserve() {
-  const std::size_t per_flow = 2 * window_packets_ + 512;
-  sim_.reserve_events(16 * window_packets_ + 4096);
+  // Each hint covers, with a fifth or more to spare, the largest span its
+  // pool reached after warm-up over seeds 1-8 of every zero-allocation
+  // test and simcore case (DESIGN.md §6a), in units of the aggregate
+  // window w. One flow's spans scale with w, not with its share of it.
+  const std::size_t w = bdp_packets_ + buffer_packets_;
+  sim_.reserve_events(w + 4096);
+  link_.queue().reserve(buffer_packets_);
   for (std::uint32_t i = 0; i < n_; ++i) {
-    sim_.reserve_lane(access_[i].lane, per_flow);
-    senders_[i]->reserve_windows(per_flow);
-    receivers_[i]->reserve_reorder(per_flow);
+    sim_.reserve_lane(access_[i].lane, 2 * bdp_packets_ + 64);
+    senders_[i]->reserve_windows(4 * w, 5 * w / 2, 5 * w / 4);
+    receivers_[i]->reserve_reorder(4 * w);
   }
 }
 

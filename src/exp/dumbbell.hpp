@@ -160,16 +160,17 @@ class Dumbbell {
   Dumbbell(const Dumbbell&) = delete;
   Dumbbell& operator=(const Dumbbell&) = delete;
 
-  /// Pre-sizes every per-packet pool (event pool, access lanes, sender
-  /// windows, reorder rings) past its expected high-water mark, so a run
-  /// that reaches steady state grows none of them. The hint is the
-  /// scenario's BDP plus buffer in packets: the aggregate in-flight span,
-  /// each packet of which accounts for a handful of scheduled events. Each
-  /// flow's pools get twice that span plus slack, not a share of it: a
-  /// flow whose loss-recovery hole stays open keeps sending past it, so
-  /// one flow's tracked span can outgrow the whole window. Every pool
-  /// still grows on demand past the hint. The simulation itself never
-  /// calls this; it is for runs that assert zero steady-state allocations.
+  /// Pre-sizes every per-packet pool (event pool, bottleneck queue, access
+  /// lanes, sender rings, reorder rings) past the largest span it was
+  /// measured to reach after warm-up, so a run that reaches steady state
+  /// grows none of them. The hints are multiples of the aggregate window
+  /// w (BDP plus buffer, in packets; BDP alone for the access lanes), and
+  /// each flow gets the multiple of w, not a share of it: a flow whose
+  /// loss-recovery hole stays open keeps sending past it, so one flow's
+  /// tracked span can outgrow the whole window. DESIGN.md §6a gives the
+  /// measured spans. Every pool still grows on demand past its hint. The
+  /// simulation itself never calls this; it is for runs that assert zero
+  /// steady-state allocations.
   void reserve();
 
   [[nodiscard]] std::uint32_t flows() const noexcept { return n_; }
@@ -207,9 +208,10 @@ class Dumbbell {
  private:
   Simulator& sim_;
   std::uint32_t n_;
-  /// reserve()'s hint: the scenario's BDP (at its longest base RTT) plus
-  /// buffer, in packets.
-  std::size_t window_packets_;
+  /// reserve()'s units, in packets: the scenario's BDP (at its longest
+  /// base RTT) and the most full-size packets its buffer holds.
+  std::size_t bdp_packets_;
+  std::size_t buffer_packets_;
   Link link_;
   std::vector<std::unique_ptr<FlowSender>> senders_;
   std::vector<std::unique_ptr<FlowReceiver>> receivers_;

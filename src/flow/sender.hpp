@@ -80,14 +80,17 @@ class BasicSender {
   /// Begins transmitting at simulated time `at`.
   void start(TimeNs at);
 
-  /// Pre-sizes the per-packet bookkeeping rings for a window of up to
-  /// `packets` tracked packets, so they reach high-water capacity before
-  /// the hot path runs instead of growing (allocating) mid-measurement.
-  /// Purely a perf knob: the rings still grow on demand past the hint.
-  void reserve_windows(std::size_t packets) {
-    records_.reserve(packets);
-    retx_queue_.reserve(packets);
-    inflight_by_order_.reserve(packets);
+  /// Pre-sizes the per-packet bookkeeping rings: `span` records (the
+  /// sequence span from the oldest unretired packet to the newest),
+  /// `orders` send orders (oldest in flight to newest) and `lost` queued
+  /// retransmissions, so they reach high-water capacity before the hot
+  /// path runs instead of growing (allocating) mid-measurement. Purely a
+  /// perf knob: the rings still grow on demand past the hints.
+  void reserve_windows(std::size_t span, std::size_t orders,
+                       std::size_t lost) {
+    records_.reserve(span);
+    inflight_by_order_.reserve(orders);
+    retx_queue_.reserve(lost);
   }
 
   /// Delivers an ACK from the reverse path.
@@ -394,7 +397,8 @@ void BasicSender<Cc, Transmit>::transmit_seq(SeqNo seq, bool is_retransmit) {
     ++next_seq_;
     records_.push_back(TxRecord{});
   }
-  TxRecord* rec = record_for(seq);
+  // A new packet's record is the back one, reached without an index.
+  TxRecord* rec = is_retransmit ? record_for(seq) : &records_.back();
   assert(rec != nullptr);
 
   // tcp_rate_skb_sent: restart the rate window after an idle pipe so stale

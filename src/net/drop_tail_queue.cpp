@@ -15,11 +15,6 @@ DropTailQueue::DropTailQueue(Bytes capacity, std::uint32_t num_flows)
       per_flow_avg_(num_flows),
       in_group_(num_flows, false) {
   if (capacity <= 0) throw std::invalid_argument{"queue capacity must be > 0"};
-  // Pre-size the packet ring for full occupancy at MSS-sized packets (the
-  // common case), so steady-state enqueues never grow the ring. Smaller
-  // packets just trigger the ring's normal on-demand doubling.
-  packets_.reserve(
-      static_cast<std::size_t>(capacity / (kDefaultMss + kHeaderBytes)) + 2);
   // Anchor every time-weighted average at t = 0 so empty periods before the
   // first packet are correctly integrated as zero occupancy.
   finalize(0);

@@ -29,6 +29,10 @@ class DropTailQueue {
   /// Pops the head-of-line packet. Pre: !empty().
   Packet dequeue(TimeNs now);
 
+  /// Pre-sizes the packet store for `packets` queued packets. Without it
+  /// the store grows a segment at a time as the queue first fills.
+  void reserve(std::size_t packets) { packets_.reserve(packets); }
+
   [[nodiscard]] bool empty() const noexcept { return packets_.empty(); }
   /// Head-of-line packet (the one in service). Pre: !empty().
   [[nodiscard]] const Packet& front() const { return packets_.front(); }

@@ -66,10 +66,6 @@ class WindowedFilter {
 
   void reset() { samples_.clear(); }
 
-  /// Pre-sizes the sample ring (a perf knob: pools reach their high-water
-  /// capacity before measurement instead of growing mid-run).
-  void reserve(std::size_t n) { samples_.reserve(n); }
-
   void set_window(TimeNs window) {
     window_ = window;
     expire(now_);

@@ -11,8 +11,9 @@
 // simulated workload (never on wall-clock timing), so the exact-zero
 // assertion is deterministic and CI-safe, and it holds in sanitizer builds
 // too: the sanitize/tsan presets run this test, so a pooling regression
-// fails loudly everywhere. One more case, apart from any dumbbell, bounds
-// what a BBR flow's bandwidth filter asks of the allocator.
+// fails loudly everywhere. Two more cases, apart from any dumbbell, bound
+// what building a BBR flow's bandwidth filter and Copa's RTT filters asks
+// of the allocator.
 
 #include <algorithm>
 
@@ -20,6 +21,7 @@
 
 #include "cc/bbr.hpp"
 #include "cc/bbrv2.hpp"
+#include "cc/copa.hpp"
 #include "exp/dumbbell.hpp"
 #include "util/alloc_counter.hpp"
 #include "util/units.hpp"
@@ -175,6 +177,16 @@ TEST(ZeroAlloc, BbrBandwidthFilterIsBoundedByItsWindow) {
   EXPECT_LT(v2.build_bytes, 1024u) << "building a BbrV2";
   EXPECT_GT(v2.rounds, 1000u);
   EXPECT_EQ(v2.news, 0u) << "BbrV2 allocated on the ACK path";
+}
+
+// Copa's two RTT filters are time windows whose rings grow a segment at a
+// time with the samples they hold, so building a Copa flow reserves
+// nothing for them: it requests under 1 KiB.
+TEST(ZeroAlloc, CopaConstructionRequestsUnderOneKib) {
+  const std::uint64_t bytes0 = allocs::bytes();
+  const Copa cc;
+  EXPECT_LT(allocs::bytes() - bytes0, 1024u) << "building a Copa";
+  EXPECT_EQ(cc.queuing_delay(), 0) << "no RTT samples yet";
 }
 
 }  // namespace
