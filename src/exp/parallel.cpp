@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <ctime>
 #include <deque>
+#include <fstream>
+#include <limits>
+#include <string>
 #include <utility>
 
 namespace bbrnash {
@@ -53,6 +56,19 @@ int resolve_jobs(int jobs) noexcept {
   return jobs <= 0 ? hardware_jobs() : jobs;
 }
 
+double proc_status_mb(std::string_view key) {
+  std::ifstream status{"/proc/self/status"};
+  std::string field;
+  while (status >> field) {
+    if (field == key) {
+      double kib = 0.0;
+      return status >> kib ? kib / 1024.0 : -1.0;
+    }
+    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return -1.0;
+}
+
 ParallelTelemetry parallel_telemetry() {
   const std::lock_guard<std::mutex> lk{g_telemetry_mu};
   return g_telemetry;
@@ -82,7 +98,12 @@ std::string describe(const ParallelTelemetry& t) {
                 static_cast<unsigned long long>(t.trials_retried),
                 static_cast<unsigned long long>(t.trials_failed),
                 t.busy_seconds, t.cpu_seconds, t.wall_seconds);
-  return buf;
+  std::string out = buf;
+  if (const double peak = proc_status_mb("VmHWM:"); peak >= 0.0) {
+    std::snprintf(buf, sizeof buf, ", peak rss %.1f MB", peak);
+    out += buf;
+  }
+  return out;
 }
 
 struct TrialPool::Worker {

@@ -32,6 +32,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -74,7 +75,12 @@ void reset_parallel_telemetry();
 /// global telemetry once per cell (off the per-trial hot path).
 void note_trial_outcomes(std::uint64_t retried, std::uint64_t failed);
 
-/// Human-readable one-paragraph summary for bench/CLI footers.
+/// A kB field of /proc/self/status ("VmHWM:", "VmRSS:") in MB, or -1 where
+/// the file or the field is absent.
+[[nodiscard]] double proc_status_mb(std::string_view key);
+
+/// Human-readable one-paragraph summary for bench/CLI footers. It ends
+/// with the process's peak resident set (VmHWM) where /proc reports one.
 [[nodiscard]] std::string describe(const ParallelTelemetry& t);
 
 class TrialPool {

@@ -143,13 +143,39 @@ class BasicSender {
 
   struct TxRecord {
     TimeNs send_time = kTimeNone;
-    std::uint64_t send_order = 0;
     Bytes delivered_at_send = 0;       // delivery-rate snapshot
     TimeNs delivered_time_at_send = 0; // delivery-rate snapshot
     TimeNs first_tx_at_send = 0;       // start of this packet's send phase
-    TxState state = TxState::kInflight;
-    std::uint8_t retx_count = 0;
+    /// send order << 3 | retransmitted << 2 | state. The state and the
+    /// sticky retransmitted flag (the Karn check) live in low bits the
+    /// order never needs, so a record is five words, not six.
+    std::uint64_t order_bits = 0;
+
+    static constexpr int kFlagBits = 3;
+    static constexpr std::uint64_t kStateMask = 3;
+    static constexpr std::uint64_t kRetransmitted = 4;
+
+    [[nodiscard]] std::uint64_t send_order() const noexcept {
+      return order_bits >> kFlagBits;
+    }
+    [[nodiscard]] TxState state() const noexcept {
+      return static_cast<TxState>(order_bits & kStateMask);
+    }
+    [[nodiscard]] bool retransmitted() const noexcept {
+      return (order_bits & kRetransmitted) != 0;
+    }
+    void set_state(TxState s) noexcept {
+      order_bits = (order_bits & ~kStateMask) | static_cast<std::uint64_t>(s);
+    }
+    /// A (re)transmission: a new send order, in flight, and retransmitted
+    /// from the first retransmission on.
+    void sent(std::uint64_t order, bool is_retransmit) noexcept {
+      order_bits = (order << kFlagBits) | (order_bits & kRetransmitted) |
+                   (is_retransmit ? kRetransmitted : 0) |
+                   static_cast<std::uint64_t>(TxState::kInflight);
+    }
   };
+  static_assert(sizeof(TxRecord) == 40, "a sender record is five words");
 
   void maybe_send();
   void transmit_seq(SeqNo seq, bool is_retransmit);
@@ -367,7 +393,7 @@ void BasicSender<Cc, Transmit>::maybe_send() {
       // The record may have been delivered meanwhile (stale entry) —
       // possible only via cumulative coverage; skip those.
       TxRecord* rec = record_for(seq);
-      if (rec == nullptr || rec->state != TxState::kLost) continue;
+      if (rec == nullptr || rec->state() != TxState::kLost) continue;
       is_retx = true;
     } else {
       // Finite application: no new data past the transfer size.
@@ -408,16 +434,12 @@ void BasicSender<Cc, Transmit>::transmit_seq(SeqNo seq, bool is_retransmit) {
     delivered_time_ = now;
   }
   rec->send_time = now;
-  rec->send_order = next_send_order_++;
+  rec->sent(next_send_order_++, is_retransmit);
   rec->delivered_at_send = delivered_;
   rec->delivered_time_at_send = delivered_time_;
   rec->first_tx_at_send = first_tx_time_;
-  rec->state = TxState::kInflight;
-  if (is_retransmit) {
-    ++rec->retx_count;
-    ++retransmits_;
-  }
-  inflight_by_order_.insert(rec->send_order, seq);
+  if (is_retransmit) ++retransmits_;
+  inflight_by_order_.insert(rec->send_order(), seq);
   inflight_ += cfg_.mss;
   note_inflight_change();
 
@@ -443,17 +465,17 @@ void BasicSender<Cc, Transmit>::on_ack(const Ack& ack) {
   Bytes prior_delivered = 0;
 
   TxRecord* rec = record_for(ack.acked_seq);
-  if (rec != nullptr && rec->state != TxState::kDelivered) {
+  if (rec != nullptr && rec->state() != TxState::kDelivered) {
     // A lost-marked packet can still be "delivered" here only if the loss
     // marking was spurious; with a FIFO no-reorder network this happens
     // only for the original transmission racing a retransmit, which is
     // harmless — we count the delivery once.
-    if (rec->state == TxState::kInflight) {
+    if (rec->state() == TxState::kInflight) {
       inflight_ -= cfg_.mss;
       note_inflight_change();
-      inflight_by_order_.erase(rec->send_order);
+      inflight_by_order_.erase(rec->send_order());
     }
-    rec->state = TxState::kDelivered;
+    rec->set_state(TxState::kDelivered);
     newly_acked = cfg_.mss;
     delivered_ += cfg_.mss;
     delivered_time_ = now;
@@ -463,7 +485,7 @@ void BasicSender<Cc, Transmit>::on_ack(const Ack& ack) {
       completed_at_ = now;
     }
 
-    if (rec->retx_count == 0) {
+    if (!rec->retransmitted()) {
       rtt_sample = now - rec->send_time;
       update_rtt(rtt_sample);
       if (measuring_) rtt_stats_.add(to_ms(rtt_sample));
@@ -488,12 +510,12 @@ void BasicSender<Cc, Transmit>::on_ack(const Ack& ack) {
     first_tx_time_ = std::max(first_tx_time_, rec->send_time);
 
     highest_delivered_order_ =
-        std::max(highest_delivered_order_, rec->send_order);
+        std::max(highest_delivered_order_, rec->send_order());
   }
 
   // Retire fully-covered records from the front.
   while (!records_.empty() && base_seq_ + 1 <= ack.cum_ack &&
-         records_.front().state == TxState::kDelivered) {
+         records_.front().state() == TxState::kDelivered) {
     records_.pop_front();
     ++base_seq_;
   }
@@ -547,9 +569,9 @@ void BasicSender<Cc, Transmit>::detect_losses() {
 template <class Cc, class Transmit>
 void BasicSender<Cc, Transmit>::mark_lost(SeqNo seq) {
   TxRecord* rec = record_for(seq);
-  assert(rec != nullptr && rec->state == TxState::kInflight);
-  rec->state = TxState::kLost;
-  inflight_by_order_.erase(rec->send_order);
+  assert(rec != nullptr && rec->state() == TxState::kInflight);
+  rec->set_state(TxState::kLost);
+  inflight_by_order_.erase(rec->send_order());
   inflight_ -= cfg_.mss;
   note_inflight_change();
   retx_queue_.push_back(seq);

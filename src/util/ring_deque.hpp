@@ -5,10 +5,12 @@
 // mean roughly one allocation per handful of packets), and std::map /
 // std::set allocate a node per element. On the packet hot path those node
 // allocations dominate the profile. RingDeque keeps elements in segments
-// of kSegment entries (about 256 bytes each) and reaches them through a
-// power-of-two table of segment pointers: the element at position p sits
-// at table[(p / kSegment) mod slots][p mod kSegment], where positions
-// count up from the front as elements are pushed.
+// of kSegment entries (at most 256 bytes for elements of up to 16 bytes,
+// 16 entries for larger ones: 640 bytes for the sender's 40-byte records,
+// 768 for 48-byte packets) and reaches them through a power-of-two table
+// of segment pointers: the element at position p sits at
+// table[(p / kSegment) mod slots][p mod kSegment], where positions count
+// up from the front as elements are pushed.
 //
 // The ring keeps a run of consecutively numbered segments, each in its
 // table slot: the ones the front has left, then the ones holding
@@ -50,7 +52,8 @@ class RingDeque {
                 "RingDeque is specialized for trivially-copyable elements");
 
  public:
-  /// Entries per segment: about 256 bytes of elements, and at least 16.
+  /// Entries per segment: the most that fit in 256 bytes, rounded down to
+  /// a power of two, and at least 16.
   static constexpr std::size_t kSegment =
       std::max<std::size_t>(16, std::bit_floor(256 / sizeof(T)));
 

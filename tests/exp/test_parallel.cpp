@@ -4,9 +4,15 @@
 // including runs with impairments, capacity schedules, retried trials,
 // and failed cells — and the pool itself must run every index exactly
 // once, propagate the smallest-index exception, and run nested regions
-// inline.
+// inline. A trial that ran on a pool worker must also hand its heap back
+// to the OS when it ends.
 #include "exp/parallel.hpp"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <stdexcept>
@@ -18,6 +24,7 @@
 
 #include "exp/checkpoint.hpp"
 #include "exp/nash_search.hpp"
+#include "exp/scenario_runner.hpp"
 #include "exp/sweeps.hpp"
 
 namespace bbrnash {
@@ -129,6 +136,9 @@ TEST(TrialPool, TelemetryCountsCellsAndWorkers) {
   EXPECT_EQ(t.max_workers, 3);
   EXPECT_GE(t.wall_seconds, 0.0);
   EXPECT_FALSE(describe(t).empty());
+  if (proc_status_mb("VmHWM:") > 0.0) {
+    EXPECT_NE(describe(t).find(", peak rss "), std::string::npos);
+  }
 }
 
 // --- Serial equivalence: run_mix_trials ----------------------------------
@@ -237,6 +247,62 @@ TEST(ParallelEquivalence, CheckpointedPayoffsMatchAcrossJobsAndResume) {
   EXPECT_EQ(serial, encode(measure_payoffs(net, 3, cfg)));
   std::remove(path.c_str());
 }
+
+// --- Memory across trials ------------------------------------------------
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
+#if defined(__GLIBC__)
+TEST(TrialMemory, WorkerTrialReturnsItsHeapToTheOs) {
+  if (kSanitized) GTEST_SKIP() << "sanitizers replace glibc's allocator";
+  if (proc_status_mb("VmRSS:") < 0.0) GTEST_SKIP() << "no /proc/self/status";
+
+  // A deep cell: 1 CUBIC + 1 BBR filling a 30 BDP queue holds megabytes
+  // of sender records and queued packets at its peak.
+  Scenario s = make_mix_scenario(make_params(100, 80, 30), 1, 1,
+                                 CcKind::kBbr);
+  s.duration = from_sec(20);
+  s.warmup = from_sec(4);
+  s.sample_period = from_ms(250);
+  std::size_t peak_heap = 0;
+  s.on_sample = [&peak_heap](const Snapshot&) {
+    peak_heap = std::max(peak_heap, mallinfo2().uordblks);
+  };
+
+  // Glibc gives each thread its own arena, so the trial must run on a
+  // pool worker, not the caller: both tasks wait until both have started,
+  // and only the one on the other thread runs the trial.
+  TrialPool pool{2};
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> started{0};
+  std::atomic<bool> ran_on_worker{false};
+  const double before = proc_status_mb("VmRSS:");
+  pool.parallel_for(2, [&](std::size_t) {
+    ++started;
+    while (started.load() < 2) std::this_thread::yield();
+    if (std::this_thread::get_id() != caller) {
+      (void)run_scenario(s);
+      ran_on_worker = true;
+    }
+  });
+  const double after = proc_status_mb("VmRSS:");
+
+  ASSERT_TRUE(ran_on_worker.load());
+  EXPECT_GT(peak_heap, std::size_t{3} << 20) << "the trial is not deep enough";
+  EXPECT_NEAR(after, before, 1.0)
+      << "the finished trial's heap stayed resident in the worker's arena";
+}
+#endif
 
 }  // namespace
 }  // namespace bbrnash

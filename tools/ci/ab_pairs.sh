@@ -2,8 +2,8 @@
 # ab_pairs.sh — alternating A/B pairs of end-to-end benchmark workloads.
 #
 #   tools/ci/ab_pairs.sh BIN_A BIN_B --workload W [--workload W2 ...]
-#                        [--pairs 10] [--seed N] [--seconds S]
-#                        [--out-dir DIR]
+#                        [--pairs 10] [--seed N [--seed N2 ...]]
+#                        [--seconds S] [--out-dir DIR]
 #
 # BIN_A and BIN_B are two builds of bench/e2e's bbrnash_e2e, say the
 # parent's and the change's. Each pair runs both once on workload W with
@@ -11,15 +11,17 @@
 # first, so drift over the session falls on both sides alike. Every run
 # appends its result line to DIR/a.jsonl or DIR/b.jsonl (--out) and keeps
 # its scratch files in DIR/run-a or DIR/run-b (--run-dir). Given
-# --workload more than once, it runs all pairs of each workload in turn.
+# --workload or --seed more than once, it runs all pairs of each workload
+# and seed in turn (seed 1 when none is given).
 #
-# Then, for each workload and each end-to-end metric in BENCHMARK.json,
+# Then, for each workload, seed and end-to-end metric in BENCHMARK.json,
 # it prints each side's median and quartiles, the pairs B won (ties count
 # for neither), and whether the medians differ by more than A's
 # interquartile range, the rule for claiming a gain; with more than one
-# workload each table is headed by its workload's name. Last,
+# workload or seed each table is headed by its workload (and seed). Last,
 # `BIN_B --compare` checks B's medians against the metrics' bounds for
-# every workload; its exit status is the script's.
+# every workload, once per seed; the script exits non-zero when any of
+# those checks failed.
 #
 # Run it from the repository root: --compare reads BENCHMARK.json there.
 # DIR defaults to a fresh temporary directory. The quartiles interpolate
@@ -28,7 +30,7 @@ set -euo pipefail
 
 usage() {
   echo "usage: $0 BIN_A BIN_B --workload W [--workload W2 ...] [--pairs N]" \
-       "[--seed N] [--seconds S] [--out-dir DIR]" >&2
+       "[--seed N [--seed N2 ...]] [--seconds S] [--out-dir DIR]" >&2
   exit 2
 }
 
@@ -37,8 +39,8 @@ bin_a=$1
 bin_b=$2
 shift 2
 workloads=()
+seeds=()
 pairs=10
-seed=1
 seconds=25
 out=""
 while [ $# -gt 0 ]; do
@@ -46,7 +48,7 @@ while [ $# -gt 0 ]; do
   case "$1" in
     --workload) workloads+=("$2") ;;
     --pairs) pairs=$2 ;;
-    --seed) seed=$2 ;;
+    --seed) seeds+=("$2") ;;
     --seconds) seconds=$2 ;;
     --out-dir) out=$2 ;;
     *) usage ;;
@@ -54,6 +56,7 @@ while [ $# -gt 0 ]; do
   shift 2
 done
 [ ${#workloads[@]} -gt 0 ] || usage
+[ ${#seeds[@]} -gt 0 ] || seeds=(1)
 for bin in "$bin_a" "$bin_b"; do
   if [ ! -x "$bin" ]; then
     echo "ab_pairs.sh: $bin is not an executable" >&2
@@ -66,10 +69,10 @@ if [ ! -f BENCHMARK.json ]; then
 fi
 if [ -z "$out" ]; then out=$(mktemp -d); fi
 mkdir -p "$out"
-rm -f "$out/a.jsonl" "$out/b.jsonl"
+rm -f "$out/a.jsonl" "$out/b.jsonl" "$out"/[ab].seed*.jsonl
 
-# run SIDE BIN: one timed run of $workload; a failed check is reported,
-# not fatal.
+# run SIDE BIN: one timed run of $workload on $seed; a failed check is
+# reported, not fatal.
 run() {
   local status=0
   "$2" --workload "$workload" --seed "$seed" --seconds "$seconds" \
@@ -80,17 +83,19 @@ run() {
 }
 
 for workload in "${workloads[@]}"; do
-  echo "workload $workload, seed $seed, ${seconds} s runs, $pairs pairs;" \
-       "results in $out"
-  for ((p = 0; p < pairs; ++p)); do
-    if ((p % 2 == 0)); then
-      run a "$bin_a"
-      run b "$bin_b"
-    else
-      run b "$bin_b"
-      run a "$bin_a"
-    fi
-    echo "pair $((p + 1))/$pairs done"
+  for seed in "${seeds[@]}"; do
+    echo "workload $workload, seed $seed, ${seconds} s runs, $pairs pairs;" \
+         "results in $out"
+    for ((p = 0; p < pairs; ++p)); do
+      if ((p % 2 == 0)); then
+        run a "$bin_a"
+        run b "$bin_b"
+      else
+        run b "$bin_b"
+        run a "$bin_a"
+      fi
+      echo "pair $((p + 1))/$pairs done"
+    done
   done
 done
 
@@ -100,9 +105,9 @@ if [ "$(wc -l < "$out/a.jsonl")" -ne "$(wc -l < "$out/b.jsonl")" ]; then
 fi
 
 # values METRIC SIDE: the metric's value in each of the side's runs of
-# $workload, one a line, in pair order.
+# $workload on $seed, one a line, in pair order.
 values() {
-  grep -F "{\"workload\": \"$workload\"," "$out/$2.jsonl" |
+  grep -F "{\"workload\": \"$workload\", \"seed\": $seed," "$out/$2.jsonl" |
     grep -o "\"$1\": {\"value\": [^,}]*" | sed 's/.*: //'
 }
 
@@ -111,46 +116,66 @@ metrics=$(sed -n '/"end_to_end"/,/\]/p' BENCHMARK.json |
           sed -n 's/.*"name": "\([^"]*\)".*"better": "\([^"]*\)".*/\1 \2/p')
 
 for workload in "${workloads[@]}"; do
-  if [ ${#workloads[@]} -gt 1 ]; then printf '\nworkload %s\n' "$workload"; fi
-  printf '\n%-14s %-6s %12s %12s %12s %8s  %s\n' metric side q1 median q3 \
-         "B wins" "median gap vs A's IQR"
-  while read -r name better; do
-    paste <(values "$name" a) <(values "$name" b) |
-      awk -v name="$name" -v better="$better" '
-        function quantile(v, n, q,    pos, lo, frac) {
-          pos = q * (n - 1); lo = int(pos); frac = pos - lo
-          return lo + 1 < n ? v[lo] * (1 - frac) + v[lo + 1] * frac : v[lo]
-        }
-        function sort(v, n,    i, j, t) {
-          for (i = 1; i < n; ++i)
-            for (j = i; j > 0 && v[j - 1] > v[j]; --j) {
-              t = v[j]; v[j] = v[j - 1]; v[j - 1] = t
-            }
-        }
-        BEGIN { n = 0; wins = 0; ties = 0 }
-        {
-          a[n] = $1; b[n] = $2; ++n
-          if ($1 == $2) ++ties
-          else if ((better == "lower") == ($2 < $1)) ++wins
-        }
-        END {
-          sort(a, n); sort(b, n)
-          qa1 = quantile(a, n, 0.25); ma = quantile(a, n, 0.5)
-          qa3 = quantile(a, n, 0.75); mb = quantile(b, n, 0.5)
-          gap = mb - ma; if (gap < 0) gap = -gap
-          iqr = qa3 - qa1
-          b_better = better == "lower" ? mb < ma : mb > ma
-          verdict = gap > iqr ? (b_better ? "B better, resolved" \
-                                          : "B worse, resolved") \
-                              : "unresolved"
-          printf "%-14s %-6s %12.6g %12.6g %12.6g\n", name, "A", qa1, ma, qa3
-          printf "%-14s %-6s %12.6g %12.6g %12.6g %3d/%-4d  %+.2f%%, gap %.4g vs IQR %.4g: %s\n",
-                 name, "B", quantile(b, n, 0.25), mb, quantile(b, n, 0.75),
-                 wins, n, 100 * (mb - ma) / ma, gap, iqr, verdict
-          if (ties > 0) printf "%-14s %d tied pairs\n", name, ties
-        }'
-  done <<< "$metrics"
+  for seed in "${seeds[@]}"; do
+    if [ ${#seeds[@]} -gt 1 ]; then
+      printf '\nworkload %s, seed %s\n' "$workload" "$seed"
+    elif [ ${#workloads[@]} -gt 1 ]; then
+      printf '\nworkload %s\n' "$workload"
+    fi
+    printf '\n%-14s %-6s %12s %12s %12s %8s  %s\n' metric side q1 median q3 \
+           "B wins" "median gap vs A's IQR"
+    while read -r name better; do
+      paste <(values "$name" a) <(values "$name" b) |
+        awk -v name="$name" -v better="$better" '
+          function quantile(v, n, q,    pos, lo, frac) {
+            pos = q * (n - 1); lo = int(pos); frac = pos - lo
+            return lo + 1 < n ? v[lo] * (1 - frac) + v[lo + 1] * frac : v[lo]
+          }
+          function sort(v, n,    i, j, t) {
+            for (i = 1; i < n; ++i)
+              for (j = i; j > 0 && v[j - 1] > v[j]; --j) {
+                t = v[j]; v[j] = v[j - 1]; v[j - 1] = t
+              }
+          }
+          BEGIN { n = 0; wins = 0; ties = 0 }
+          {
+            a[n] = $1; b[n] = $2; ++n
+            if ($1 == $2) ++ties
+            else if ((better == "lower") == ($2 < $1)) ++wins
+          }
+          END {
+            sort(a, n); sort(b, n)
+            qa1 = quantile(a, n, 0.25); ma = quantile(a, n, 0.5)
+            qa3 = quantile(a, n, 0.75); mb = quantile(b, n, 0.5)
+            gap = mb - ma; if (gap < 0) gap = -gap
+            iqr = qa3 - qa1
+            b_better = better == "lower" ? mb < ma : mb > ma
+            verdict = gap > iqr ? (b_better ? "B better, resolved" \
+                                            : "B worse, resolved") \
+                                : "unresolved"
+            printf "%-14s %-6s %12.6g %12.6g %12.6g\n", name, "A", qa1, ma, qa3
+            printf "%-14s %-6s %12.6g %12.6g %12.6g %3d/%-4d  %+.2f%%, gap %.4g vs IQR %.4g: %s\n",
+                   name, "B", quantile(b, n, 0.25), mb, quantile(b, n, 0.75),
+                   wins, n, 100 * (mb - ma) / ma, gap, iqr, verdict
+            if (ties > 0) printf "%-14s %d tied pairs\n", name, ties
+          }'
+    done <<< "$metrics"
+  done
 done
 
 echo
-"$bin_b" --compare "$out/a.jsonl" "$out/b.jsonl"
+if [ ${#seeds[@]} -eq 1 ]; then
+  exec "$bin_b" --compare "$out/a.jsonl" "$out/b.jsonl"
+fi
+# --compare pools every run of a workload, so each seed gets its own.
+status=0
+for seed in "${seeds[@]}"; do
+  for side in a b; do
+    grep -F "\"seed\": $seed," "$out/$side.jsonl" > "$out/$side.seed$seed.jsonl"
+  done
+  printf 'seed %s\n' "$seed"
+  "$bin_b" --compare "$out/a.seed$seed.jsonl" "$out/b.seed$seed.jsonl" ||
+    status=1
+  echo
+done
+exit "$status"
