@@ -88,6 +88,9 @@ void Scenario::validate() const {
     throw std::invalid_argument{"scenario buffer_bytes must be > 0"};
   }
   if (mss <= 0) throw std::invalid_argument{"scenario mss must be > 0"};
+  if (mss > kMaxWireBytes - kHeaderBytes) {
+    throw std::invalid_argument{"scenario mss must fit a packet's wire size"};
+  }
   if (duration <= 0) {
     throw std::invalid_argument{"scenario duration must be > 0"};
   }
@@ -280,14 +283,17 @@ ExecOutcome execute_scenario(const Scenario& scenario,
   if (audit_p != nullptr) {
     for (TimeNs t = scenario.audit.sample_period; t <= scenario.duration;
          t += scenario.audit.sample_period) {
-      sim.schedule_at(t, [&, t] {
+      // Six captures, so the sampler stays inside the event's inline
+      // buffer (kEventInlineBytes) rather than being boxed.
+      sim.schedule_at(t, [&sim, &db, &scenario, audit_p, recorder, t] {
+        const DropTailQueue& queue = db.link().queue();
         AuditSample& smp = audit_p->sample_buffer();
         smp.t = t;
-        smp.queue_bytes = link.queue().occupied_bytes();
+        smp.queue_bytes = queue.occupied_bytes();
         smp.buffer_bytes = scenario.buffer_bytes;
-        smp.bytes_served = link.bytes_served();
+        smp.bytes_served = db.link().bytes_served();
         Bytes flow_bytes_sum = 0;
-        for (std::uint32_t i = 0; i < n; ++i) {
+        for (std::uint32_t i = 0; i < scenario.flows.size(); ++i) {
           FlowAuditSample& f = smp.flows[i];
           f = FlowAuditSample{};
           f.injected = audit_p->injected(i);
@@ -298,8 +304,8 @@ ExecOutcome execute_scenario(const Scenario& scenario,
             f.stage_duplicated = c.duplicated;
             f.stage_pending = stage->pending();
           }
-          f.queue_packets = link.queue().flow_packets(i);
-          f.queue_dropped = link.queue().drops(i);
+          f.queue_packets = queue.flow_packets(i);
+          f.queue_dropped = queue.drops(i);
           f.fwd_pending = db.forward_path(i).pending();
           f.delivered = db.receiver(i).packets_received();
           f.acks_emitted = db.receiver(i).packets_received();
@@ -319,7 +325,7 @@ ExecOutcome execute_scenario(const Scenario& scenario,
           f.delivered_bytes = db.sender(i).delivered_bytes();
           f.retransmits = db.sender(i).retransmit_count();
           f.rtos = db.sender(i).rto_count();
-          flow_bytes_sum += link.queue().flow_occupancy(i);
+          flow_bytes_sum += queue.flow_occupancy(i);
           if (recorder != nullptr) {
             recorder->note(t, FlightEventKind::kCcSnapshot, i,
                            static_cast<std::uint64_t>(f.cwnd),

@@ -31,6 +31,7 @@
 #include <utility>
 
 #include "cc/cc_variant.hpp"
+#include "flow/send_records.hpp"
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
 #include "util/ring_deque.hpp"
@@ -139,44 +140,6 @@ class BasicSender {
   }
 
  private:
-  enum class TxState : std::uint8_t { kInflight, kDelivered, kLost };
-
-  struct TxRecord {
-    TimeNs send_time = kTimeNone;
-    Bytes delivered_at_send = 0;       // delivery-rate snapshot
-    TimeNs delivered_time_at_send = 0; // delivery-rate snapshot
-    TimeNs first_tx_at_send = 0;       // start of this packet's send phase
-    /// send order << 3 | retransmitted << 2 | state. The state and the
-    /// sticky retransmitted flag (the Karn check) live in low bits the
-    /// order never needs, so a record is five words, not six.
-    std::uint64_t order_bits = 0;
-
-    static constexpr int kFlagBits = 3;
-    static constexpr std::uint64_t kStateMask = 3;
-    static constexpr std::uint64_t kRetransmitted = 4;
-
-    [[nodiscard]] std::uint64_t send_order() const noexcept {
-      return order_bits >> kFlagBits;
-    }
-    [[nodiscard]] TxState state() const noexcept {
-      return static_cast<TxState>(order_bits & kStateMask);
-    }
-    [[nodiscard]] bool retransmitted() const noexcept {
-      return (order_bits & kRetransmitted) != 0;
-    }
-    void set_state(TxState s) noexcept {
-      order_bits = (order_bits & ~kStateMask) | static_cast<std::uint64_t>(s);
-    }
-    /// A (re)transmission: a new send order, in flight, and retransmitted
-    /// from the first retransmission on.
-    void sent(std::uint64_t order, bool is_retransmit) noexcept {
-      order_bits = (order << kFlagBits) | (order_bits & kRetransmitted) |
-                   (is_retransmit ? kRetransmitted : 0) |
-                   static_cast<std::uint64_t>(TxState::kInflight);
-    }
-  };
-  static_assert(sizeof(TxRecord) == 40, "a sender record is five words");
-
   void maybe_send();
   void transmit_seq(SeqNo seq, bool is_retransmit);
   void process_delivery(SeqNo seq);
@@ -191,70 +154,23 @@ class BasicSender {
   [[nodiscard]] TimeNs current_rto() const;
   void note_inflight_change();
 
-  /// The set of in-flight packets keyed by send order (what std::map was
-  /// used for). Orders are assigned consecutively at transmit time, so the
-  /// ordered map degenerates into a ring indexed by (order - base): insert
-  /// is a push at the back, erase tombstones the slot, and the minimum
-  /// live order is maintained by advancing the base past tombstones —
-  /// O(1) amortized, allocation-free at steady state where the map paid a
-  /// node allocation per transmitted packet.
-  class OrderWindow {
-   public:
-    /// Pre: orders arrive consecutively (order == base + size()).
-    void insert(std::uint64_t order, SeqNo seq) {
-      assert(order == base_ + slots_.size() && "send orders are consecutive");
-      (void)order;
-      slots_.push_back(seq);
-      ++live_;
-    }
-    /// Erasing an absent order is a no-op, like map::erase by key.
-    void erase(std::uint64_t order) {
-      if (order < base_) return;
-      const auto idx = static_cast<std::size_t>(order - base_);
-      if (idx >= slots_.size() || slots_[idx] == kDead) return;
-      slots_[idx] = kDead;
-      --live_;
-      // Keep the front slot live (or the ring empty) so front_*() are O(1).
-      while (!slots_.empty() && slots_.front() == kDead) {
-        slots_.pop_front();
-        ++base_;
-      }
-    }
-    [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
-    /// Smallest live send order / its sequence number. Pre: !empty().
-    [[nodiscard]] std::uint64_t front_order() const {
-      assert(live_ > 0);
-      return base_;
-    }
-    [[nodiscard]] SeqNo front_seq() const {
-      assert(live_ > 0);
-      return slots_.front();
-    }
-    void reserve(std::size_t n) { slots_.reserve(n); }
-
-   private:
-    static constexpr SeqNo kDead = ~SeqNo{0};
-
-    RingDeque<SeqNo> slots_;
-    std::uint64_t base_ = 1;  ///< send orders start at 1
-    std::size_t live_ = 0;
-  };
-
   Simulator& sim_;
   FlowId flow_;
   SenderConfig cfg_;
   Cc cc_;
   TransmitFn transmit_;
 
-  // Sequence space. records_ is indexed by (seq - base_seq_).
+  // Sequence space. records_ is indexed by (seq - base_seq_); the
+  // retransmit queue holds sequence residues (see SeqResidue).
   RingDeque<TxRecord> records_;
   SeqNo base_seq_ = 0;   // smallest seq still tracked
   SeqNo next_seq_ = 0;   // next new sequence number to send
-  RingDeque<SeqNo> retx_queue_;
+  RingDeque<std::uint32_t> retx_queue_;
 
   // Delivery / ordering state (tcp_rate.c equivalents).
   Bytes inflight_ = 0;
   Bytes delivered_ = 0;
+  std::uint64_t delivered_pkts_ = 0;  ///< delivered_ / mss, kept alongside
   TimeNs delivered_time_ = 0;
   TimeNs first_tx_time_ = 0;  ///< send time of the most recently acked pkt
   std::uint64_t next_send_order_ = 1;
@@ -388,10 +304,11 @@ void BasicSender<Cc, Transmit>::maybe_send() {
     SeqNo seq;
     bool is_retx = false;
     if (have_retx) {
-      seq = retx_queue_.front();
+      seq = SeqResidue::decode(retx_queue_.front(), base_seq_);
       retx_queue_.pop_front();
       // The record may have been delivered meanwhile (stale entry) —
-      // possible only via cumulative coverage; skip those.
+      // possible only via cumulative coverage; skip those. A retired
+      // record's residue decodes past records_, to no record.
       TxRecord* rec = record_for(seq);
       if (rec == nullptr || rec->state() != TxState::kLost) continue;
       is_retx = true;
@@ -420,6 +337,7 @@ void BasicSender<Cc, Transmit>::transmit_seq(SeqNo seq, bool is_retransmit) {
 
   if (!is_retransmit) {
     assert(seq == next_seq_);
+    SeqResidue::check_span(records_.size());
     ++next_seq_;
     records_.push_back(TxRecord{});
   }
@@ -435,7 +353,7 @@ void BasicSender<Cc, Transmit>::transmit_seq(SeqNo seq, bool is_retransmit) {
   }
   rec->send_time = now;
   rec->sent(next_send_order_++, is_retransmit);
-  rec->delivered_at_send = delivered_;
+  rec->snapshot_delivered(delivered_pkts_);
   rec->delivered_time_at_send = delivered_time_;
   rec->first_tx_at_send = first_tx_time_;
   if (is_retransmit) ++retransmits_;
@@ -446,8 +364,8 @@ void BasicSender<Cc, Transmit>::transmit_seq(SeqNo seq, bool is_retransmit) {
   Packet pkt;
   pkt.flow = flow_;
   pkt.seq = seq;
-  pkt.payload_bytes = cfg_.mss;
-  pkt.wire_bytes = cfg_.mss + cfg_.header_bytes;
+  // Fits: Scenario::validate caps the MSS at kMaxWireBytes - kHeaderBytes.
+  pkt.wire_bytes = static_cast<std::uint32_t>(cfg_.mss + cfg_.header_bytes);
   pkt.is_retransmit = is_retransmit;
   transmit_(pkt);
 
@@ -478,6 +396,7 @@ void BasicSender<Cc, Transmit>::on_ack(const Ack& ack) {
     rec->set_state(TxState::kDelivered);
     newly_acked = cfg_.mss;
     delivered_ += cfg_.mss;
+    ++delivered_pkts_;
     delivered_time_ = now;
     rto_backoff_ = 0;  // forward progress: reset the Karn backoff
     if (completed_at_ == kTimeNone && cfg_.transfer_bytes > 0 &&
@@ -491,7 +410,8 @@ void BasicSender<Cc, Transmit>::on_ack(const Ack& ack) {
       if (measuring_) rtt_stats_.add(to_ms(rtt_sample));
     }
 
-    prior_delivered = rec->delivered_at_send;
+    prior_delivered =
+        static_cast<Bytes>(rec->delivered_pkts_at_send) * cfg_.mss;
 
     // Delivery-rate sample, tcp_rate.c style: the interval is the longer of
     // the send phase (send spacing of the window this packet closes) and
@@ -502,7 +422,7 @@ void BasicSender<Cc, Transmit>::on_ack(const Ack& ack) {
     const TimeNs ack_interval = now - rec->delivered_time_at_send;
     const TimeNs interval = std::max(snd_interval, ack_interval);
     if (interval > 0) {
-      rate_sample = static_cast<double>(delivered_ - rec->delivered_at_send) /
+      rate_sample = static_cast<double>(delivered_ - prior_delivered) /
                     to_sec(interval);
     }
     // tcp_rate_skb_delivered: the send phase of the next sample starts at
@@ -560,7 +480,8 @@ void BasicSender<Cc, Transmit>::detect_losses() {
   Bytes newly_lost = 0;
   while (!inflight_by_order_.empty() &&
          inflight_by_order_.front_order() <= threshold) {
-    mark_lost(inflight_by_order_.front_seq());  // erases the front entry
+    // Erases the front entry.
+    mark_lost(inflight_by_order_.front_seq(base_seq_));
     newly_lost += cfg_.mss;
   }
   if (newly_lost > 0) enter_recovery_if_needed(newly_lost);
@@ -574,7 +495,7 @@ void BasicSender<Cc, Transmit>::mark_lost(SeqNo seq) {
   inflight_by_order_.erase(rec->send_order());
   inflight_ -= cfg_.mss;
   note_inflight_change();
-  retx_queue_.push_back(seq);
+  retx_queue_.push_back(SeqResidue::encode(seq));
   episode_lost_ += cfg_.mss;
   cc_.on_packet_lost(sim_.now(), cfg_.mss, inflight_);
 }
@@ -630,7 +551,7 @@ void BasicSender<Cc, Transmit>::on_rto_fired() {
   if (rto_backoff_ < 6) ++rto_backoff_;
   // Declare everything in flight lost and restart from the oldest hole.
   while (!inflight_by_order_.empty()) {
-    mark_lost(inflight_by_order_.front_seq());
+    mark_lost(inflight_by_order_.front_seq(base_seq_));
   }
   // RTO resets any recovery episode: the CC gets the dedicated signal.
   in_recovery_ = false;

@@ -97,11 +97,12 @@ namespace bbrnash {
 using LaneId = std::uint32_t;
 
 /// Inline storage per event payload, in pool slots and lane entries
-/// alike. Sized for the largest hot-path callables: a forward-path
+/// alike. Sized for the largest hot-path callable, a forward-path
 /// DelayLine delivery (the line's pointer plus a Packet-with-sojourn,
-/// 8 + 56 bytes) and an access-path arrival (the entry hop's pointers plus
-/// a Packet).
-inline constexpr std::size_t kEventInlineBytes = 64;
+/// 8 + 40 bytes); an access-path arrival (the entry hop's pointer plus a
+/// Packet) is smaller. So a pool Slot fills one 64-byte cache line and a
+/// LaneEntry is 80 bytes.
+inline constexpr std::size_t kEventInlineBytes = 48;
 
 class EventQueue {
  private:
@@ -134,6 +135,7 @@ class EventQueue {
     alignas(std::max_align_t) std::byte storage[kEventInlineBytes];
   };
   static_assert(std::is_trivially_copyable_v<Slot>);
+  static_assert(sizeof(Slot) == 64, "a pool slot is one cache line");
 
   /// One lane ring entry: the ordering key plus the payload, in the pool
   /// slot's layout so fill() constructs the callable straight into it.
@@ -143,6 +145,7 @@ class EventQueue {
     Slot slot;
   };
   static_assert(std::is_trivially_copyable_v<LaneEntry>);
+  static_assert(sizeof(LaneEntry) == 80);
 
   /// One segment of a lane's ring; segments link into a circle.
   struct Segment {

@@ -6,8 +6,9 @@
 // std::set allocate a node per element. On the packet hot path those node
 // allocations dominate the profile. RingDeque keeps elements in segments
 // of kSegment entries (at most 256 bytes for elements of up to 16 bytes,
-// 16 entries for larger ones: 640 bytes for the sender's 40-byte records,
-// 768 for 48-byte packets) and reaches them through a power-of-two table
+// such as the sender's 4-byte sequence residues; 16 entries for larger
+// ones: 512 bytes for the sender's 32-byte records and for 32-byte
+// packets) and reaches them through a power-of-two table
 // of segment pointers: the element at position p sits at
 // table[(p / kSegment) mod slots][p mod kSegment], where positions count
 // up from the front as elements are pushed.

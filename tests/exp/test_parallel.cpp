@@ -267,9 +267,10 @@ TEST(TrialMemory, WorkerTrialReturnsItsHeapToTheOs) {
   if (kSanitized) GTEST_SKIP() << "sanitizers replace glibc's allocator";
   if (proc_status_mb("VmRSS:") < 0.0) GTEST_SKIP() << "no /proc/self/status";
 
-  // A deep cell: 1 CUBIC + 1 BBR filling a 30 BDP queue holds megabytes
-  // of sender records and queued packets at its peak.
-  Scenario s = make_mix_scenario(make_params(100, 80, 30), 1, 1,
+  // A deep cell: 1 CUBIC + 1 BBR filling a 40 BDP queue holds megabytes
+  // of sender records and queued packets at its peak (3.8 MB of live heap
+  // with 32-byte records and packets; the 30 BDP cell peaks below 3 MB).
+  Scenario s = make_mix_scenario(make_params(100, 80, 40), 1, 1,
                                  CcKind::kBbr);
   s.duration = from_sec(20);
   s.warmup = from_sec(4);

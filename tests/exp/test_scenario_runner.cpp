@@ -155,6 +155,14 @@ TEST(ScenarioValidate, RejectsNonPositiveCoreParameters) {
   EXPECT_THROW(s.validate(), std::invalid_argument);
 }
 
+TEST(ScenarioValidate, RejectsMssPastAPacketsWireSize) {
+  Scenario s = small_scenario(1, 1);
+  s.mss = kMaxWireBytes - kHeaderBytes;
+  EXPECT_NO_THROW(s.validate());
+  s.mss += 1;
+  EXPECT_THROW(s.validate(), std::invalid_argument);
+}
+
 TEST(ScenarioValidate, RejectsBadImpairmentsAndSchedules) {
   Scenario s = small_scenario(1, 1);
   s.impairments.loss_rate = -0.1;

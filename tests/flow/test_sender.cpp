@@ -180,6 +180,29 @@ TEST(Sender, TwoLaterDeliveriesDoNotMarkLoss) {
   EXPECT_EQ(h.sender->retransmit_count(), 0u);
 }
 
+TEST(Sender, RetiredRetransmitEntryIsSkipped) {
+  Harness h;
+  h.cc->cwnd_bytes = 10 * kDefaultMss;
+  h.sender->start(0);
+  // Close the window so the lost packet's retransmit entry waits.
+  h.sim.schedule_at(from_ms(39), [&h] { h.cc->cwnd_bytes = 0; });
+  h.ack(1, 0, from_ms(40));
+  h.ack(2, 0, from_ms(41));
+  h.ack(3, 0, from_ms(42));  // seq 0 is marked lost and queued
+  // The original arrives after all: seqs 0..3 retire, the entry is stale.
+  h.ack(0, 4, from_ms(43));
+  h.sim.schedule_at(from_ms(44),
+                    [&h] { h.cc->cwnd_bytes = 10 * kDefaultMss; });
+  h.ack(4, 5, from_ms(45));
+  h.sim.run_until(from_ms(46));
+  EXPECT_EQ(h.cc->lost_bytes, kDefaultMss);
+  EXPECT_EQ(h.sender->retransmit_count(), 0u);
+  for (const auto& p : h.wire) EXPECT_FALSE(p.is_retransmit) << p.seq;
+  // The reopened window went to new data instead.
+  ASSERT_GT(h.wire.size(), 10u);
+  EXPECT_EQ(h.wire[10].seq, 10u);
+}
+
 TEST(Sender, OneCongestionEventPerLossRound) {
   Harness h;
   h.cc->cwnd_bytes = 10 * kDefaultMss;

@@ -1,5 +1,6 @@
 #include "net/bottleneck_link.hpp"
 
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -7,12 +8,11 @@
 namespace bbrnash {
 namespace {
 
-Packet make_packet(FlowId flow, SeqNo seq, Bytes wire = 1500) {
+Packet make_packet(FlowId flow, SeqNo seq, std::uint32_t wire = 1500) {
   Packet p;
   p.flow = flow;
   p.seq = seq;
   p.wire_bytes = wire;
-  p.payload_bytes = wire - kHeaderBytes;
   return p;
 }
 

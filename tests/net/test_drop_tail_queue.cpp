@@ -1,15 +1,16 @@
 #include "net/drop_tail_queue.hpp"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 namespace bbrnash {
 namespace {
 
-Packet make_packet(FlowId flow, SeqNo seq, Bytes wire = 1500) {
+Packet make_packet(FlowId flow, SeqNo seq, std::uint32_t wire = 1500) {
   Packet p;
   p.flow = flow;
   p.seq = seq;
-  p.payload_bytes = wire - kHeaderBytes;
   p.wire_bytes = wire;
   return p;
 }

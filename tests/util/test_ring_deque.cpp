@@ -18,7 +18,8 @@
 namespace bbrnash {
 namespace {
 
-/// A record-sized element: 48 bytes, so 16 entries a segment.
+/// A wide element: 48 bytes, wider than a packet or a sender record (32),
+/// and not a power of two; 16 entries a segment.
 struct Wide {
   std::uint64_t words[6];
 };
