@@ -142,10 +142,9 @@ class BasicSender {
  private:
   void maybe_send();
   void transmit_seq(SeqNo seq, bool is_retransmit);
-  void process_delivery(SeqNo seq);
   void detect_losses();
   void mark_lost(SeqNo seq);
-  void enter_recovery_if_needed(Bytes newly_lost);
+  void enter_recovery_if_needed();
   void arm_rto();
   void on_rto_fired();
   void update_rtt(TimeNs sample);
@@ -477,14 +476,14 @@ void BasicSender<Cc, Transmit>::detect_losses() {
   }
   const std::uint64_t threshold =
       highest_delivered_order_ - static_cast<std::uint64_t>(cfg_.dupthresh);
-  Bytes newly_lost = 0;
+  bool any_lost = false;
   while (!inflight_by_order_.empty() &&
          inflight_by_order_.front_order() <= threshold) {
     // Erases the front entry.
     mark_lost(inflight_by_order_.front_seq(base_seq_));
-    newly_lost += cfg_.mss;
+    any_lost = true;
   }
-  if (newly_lost > 0) enter_recovery_if_needed(newly_lost);
+  if (any_lost) enter_recovery_if_needed();
 }
 
 template <class Cc, class Transmit>
@@ -501,8 +500,7 @@ void BasicSender<Cc, Transmit>::mark_lost(SeqNo seq) {
 }
 
 template <class Cc, class Transmit>
-void BasicSender<Cc, Transmit>::enter_recovery_if_needed(Bytes newly_lost) {
-  (void)newly_lost;
+void BasicSender<Cc, Transmit>::enter_recovery_if_needed() {
   if (in_recovery_) return;
   in_recovery_ = true;
   recovery_exit_order_ = next_send_order_;

@@ -28,12 +28,13 @@
 //     inserted into the scratch's pending region at their sorted
 //     position, which preserves the exact heap ordering semantics:
 //     among pending events the fire order is always (when, sequence).
-//   * FIFO lanes carry the per-packet hops. A lane is a ring whose pushes
-//     carry non-decreasing fire times: push_lane() appends (when, sequence,
-//     callable), constructing the callable in place in the ring entry's
-//     slot, and requires `when` to be no earlier than the lane's previous
-//     push. Sequences grow with every push too, so each ring is already
-//     sorted by (when, sequence) and needs no wheel, chain, or sort at all.
+//   * FIFO lanes carry the per-packet hops. A lane is a RingDeque whose
+//     pushes carry non-decreasing fire times: push_lane() appends (when,
+//     sequence, callable), constructing the callable in place in the new
+//     entry's slot, and requires `when` to be no earlier than the lane's
+//     previous push. Sequences grow with every push too, so each ring is
+//     already sorted by (when, sequence) and needs no wheel, chain, or sort
+//     at all.
 //     Two kinds of lane exist. lane(delay) returns the fixed-delay lane
 //     shared by every user with that delay (propagation on a DelayLine,
 //     serialization on the bottleneck): schedule_lane() pushes at the
@@ -41,37 +42,38 @@
 //     private_lane() returns a lane nobody else can reach, for a hop whose
 //     delay varies but whose fire times never go backwards (a flow's
 //     jittered access path). A small binary heap over the non-empty lanes
-//     (keyed by each lane's head) merges them, and the run loop fires
-//     whichever head is earlier by (when, sequence): the wheel's or the
-//     lane heap's. Sequences come from the one counter schedule() uses, so
-//     the fire order is exactly that of a single queue holding every
-//     event. The wheel cursor is loaded only up to the lane head's bucket,
-//     so it never runs ahead of the clock by more than a bucket while lanes
-//     are busy.
+//     (keyed by each lane's head, whose address the key carries) merges
+//     them, and the run loop fires whichever head is earlier by (when,
+//     sequence): the wheel's or the lane heap's. Sequences come from the
+//     one counter schedule() uses, so the fire order is exactly that of a
+//     single queue holding every event. The wheel cursor is loaded only up
+//     to the lane head's bucket, so it never runs ahead of the clock by
+//     more than a bucket while lanes are busy.
 //
 // Dispatch runs the callable in place: payload slots live in fixed-size
 // chunks that never move once allocated, so run_one() fires the event
 // directly from pooled storage and recycles the slot after the callable
 // returns (never before — the callable's own captures live in that slot).
 //
-// Each payload slot embeds its callable in a fixed 64-byte inline buffer,
-// so the packet hot path (arrivals, departures, ACK deliveries, pacing
-// and RTO timers — all of which capture at most a packet plus a couple of
-// pointers) schedules and fires events with ZERO heap allocations in
-// steady state: slots are recycled in place and every auxiliary array
-// (scratch, chains, free list, heap keys) stops growing once the
-// simulation reaches its high-water event count. Callables that are
-// larger than the inline buffer or not trivially copyable are boxed on
-// the heap (cold paths only: test lambdas, callables routed through
-// std::function).
+// Each payload slot embeds its callable in a fixed 48-byte inline buffer
+// (with its two thunks, one 64-byte slot), so the packet hot path
+// (arrivals, departures, ACK deliveries, pacing and RTO timers — all of
+// which capture at most a packet plus a couple of pointers) schedules and
+// fires events with ZERO heap allocations in steady state: slots are
+// recycled in place and every auxiliary array (scratch, chains, free
+// list, heap keys) stops growing once the simulation reaches its
+// high-water event count. Callables that are larger than the inline
+// buffer or not trivially copyable are boxed on the heap (cold paths
+// only: test lambdas, callables routed through std::function).
 //
 // Lane events fire in place from their ring the same way, and their entry
-// is released only after the callable returns. A lane's ring is a circle
-// of fixed-size segments (64 entries on a shared lane, 16 on a private
-// one): a full ring splices in one more segment, so
-// entries never move (a running callable's captures stay put however many
-// events it pushes) and growth leaves no freed copies behind; once the
-// circle reaches the lane's high-water mark it is reused forever.
+// is popped only after the callable returns. A RingDeque's entries never
+// move (a running callable's captures stay put however many events it
+// pushes, onto its own lane or any other), and once a lane reaches its
+// high-water mark its segments are reused forever. A lane that drains is
+// cleared, so its next push starts a segment the lane already holds: the
+// link's lane (one packet in service) and the access lanes keep reusing
+// one hot segment.
 //
 // Events cannot be cancelled: a timer that is usually re-armed (the RTO)
 // re-arms lazily instead, checking at fire time whether it is still due.
@@ -89,6 +91,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/ring_deque.hpp"
 #include "util/units.hpp"
 
 namespace bbrnash {
@@ -118,8 +121,8 @@ class EventQueue {
   static_assert(sizeof(Key) == 16);
 
   /// meta layout: bits 0..23 = payload-slot index (16M concurrent
-  /// events), bits 24..63 = schedule sequence (1e12 events per
-  /// simulation).
+  /// events; a lane entry's lane id instead, 16M lanes), bits 24..63 =
+  /// schedule sequence (1e12 events per simulation).
   static constexpr std::uint64_t kSlotBits = 24;
   static constexpr std::uint64_t kSeqShift = kSlotBits;
   static constexpr std::uint64_t kSlotMask = (1u << kSlotBits) - 1;
@@ -141,59 +144,28 @@ class EventQueue {
   /// slot's layout so fill() constructs the callable straight into it.
   struct LaneEntry {
     TimeNs when;
-    std::uint64_t meta;  ///< sequence << kSeqShift (slot bits unused)
+    std::uint64_t meta;  ///< (sequence << kSeqShift) | the lane's id
     Slot slot;
   };
   static_assert(std::is_trivially_copyable_v<LaneEntry>);
   static_assert(sizeof(LaneEntry) == 80);
 
-  /// One segment of a lane's ring; segments link into a circle.
-  struct Segment {
-    std::unique_ptr<LaneEntry[]> entries;  ///< the lane's segment_entries
-    Segment* next;
-  };
-
-  /// Entries per segment. A shared lane queues a whole delay's worth of
-  /// packets. A private lane rarely holds more than one burst, but there is
-  /// one per flow and each owns at least one segment, so its segments are
-  /// smaller.
-  static constexpr std::uint32_t kSharedSegmentEntries = 64;
-  static constexpr std::uint32_t kPrivateSegmentEntries = 16;
-
   /// The delay a private lane carries. lane() only takes delays >= 0, so it
   /// never hands such a lane out.
   static constexpr TimeNs kPrivateLane = -1;
 
-  /// A lane: live entries run from (head, head_at) forward around the
-  /// segment circle to (tail, tail_at), sorted by construction.
   struct Lane {
-    Lane(TimeNs d, std::uint32_t entries)
-        : delay(d), segment_entries(entries), tail_at(entries) {}
     TimeNs delay;  ///< schedule_lane()'s offset; kPrivateLane if private
-    Segment* head = nullptr;  ///< null until the first push
-    Segment* tail = nullptr;
-    /// head->entries and tail->entries, kept so that reaching an entry
-    /// costs no more than an index.
-    LaneEntry* head_entries = nullptr;
-    LaneEntry* tail_entries = nullptr;
-    std::uint32_t segment_entries;
-    std::uint32_t head_at = 0;
-    /// Next write index in tail; segment_entries (also the state before the
-    /// first push) moves the tail on to the next segment first.
-    std::uint32_t tail_at;
-    std::uint32_t count = 0;
-    [[nodiscard]] LaneEntry& front() const { return head_entries[head_at]; }
-    /// The latest push. Pre: count != 0 (so tail_at >= 1).
-    [[nodiscard]] const LaneEntry& back() const {
-      return tail_entries[tail_at - 1];
-    }
+    RingDeque<LaneEntry> ring{};  ///< sorted by construction
   };
 
-  /// Lane-heap element: a non-empty lane keyed by its head entry.
+  /// Lane-heap element: a non-empty lane keyed by its head entry's
+  /// (when, meta), with the lane's id in meta's slot bits. It carries the
+  /// head's address, so firing the head needs no ring lookup.
   struct LaneKey {
     TimeNs when;
     std::uint64_t meta;
-    LaneId lane;
+    LaneEntry* head;
   };
 
   /// run_one() fires callables in place from pooled storage; the slot must
@@ -216,9 +188,9 @@ class EventQueue {
   /// callable returns.
   struct LaneDispatchGuard {
     EventQueue& q;
+    Slot& s;
     LaneId id;
     ~LaneDispatchGuard() {
-      Slot& s = q.lanes_[id].front().slot;
       if (s.cleanup != nullptr) s.cleanup(s.storage);
       q.pop_lane_front(id);
     }
@@ -244,14 +216,8 @@ class EventQueue {
     }
     for (std::size_t i = 0; i < heap_n_; ++i) release_boxed(root_[i]);
     for (Lane& l : lanes_) {
-      Segment* seg = l.head;
-      std::uint32_t at = l.head_at;
-      for (std::uint32_t i = 0; i < l.count; ++i) {
-        if (at == l.segment_entries) {
-          seg = seg->next;
-          at = 0;
-        }
-        Slot& s = seg->entries[at++].slot;
+      for (std::size_t i = 0; i < l.ring.size(); ++i) {
+        Slot& s = l.ring[i].slot;
         if (s.cleanup != nullptr) s.cleanup(s.storage);
       }
     }
@@ -273,16 +239,12 @@ class EventQueue {
     for (std::size_t i = 0; i < lanes_.size(); ++i) {
       if (lanes_[i].delay == delay) return static_cast<LaneId>(i);
     }
-    lanes_.emplace_back(delay, kSharedSegmentEntries);
-    return static_cast<LaneId>(lanes_.size() - 1);
+    return add_lane(delay);
   }
 
   /// A new lane that lane() never returns, for one owner whose fire times
   /// never go backwards; the owner pushes with push_lane().
-  [[nodiscard]] LaneId private_lane() {
-    lanes_.emplace_back(kPrivateLane, kPrivateSegmentEntries);
-    return static_cast<LaneId>(lanes_.size() - 1);
-  }
+  [[nodiscard]] LaneId private_lane() { return add_lane(kPrivateLane); }
 
   /// Schedules an event at `now` + the shared lane's delay.
   /// Pre: `now` is not less than the `now` of any earlier push onto this
@@ -295,42 +257,34 @@ class EventQueue {
 
   /// Appends an event firing at `when` to lane `id`. Pre:
   /// `when` is not earlier than the lane's previous push, which keeps the
-  /// ring sorted, nor than the current event's time.
+  /// ring sorted, nor than the current event's time. A callable whose
+  /// construction throws leaves the lane as it was.
   template <typename F>
   void push_lane(LaneId id, TimeNs when, F&& fn) {
-    Lane& l = lanes_[id];
-    assert((l.count == 0 || when >= l.back().when) &&
+    RingDeque<LaneEntry>& ring = lanes_[id].ring;
+    assert((ring.empty() || when >= ring.back().when) &&
            "lane pushes must not go back in time");
-    if (l.tail_at == l.segment_entries) advance_tail(l);
-    LaneEntry& e = l.tail_entries[l.tail_at];
-    e.meta = make_meta();
+    const std::uint64_t meta = make_meta() | id;
+    LaneEntry& e = ring.append();
+    try {
+      fill(e.slot, std::forward<F>(fn));
+    } catch (...) {
+      ring.pop_back();
+      throw;
+    }
     e.when = when;
-    fill(e.slot, std::forward<F>(fn));
-    ++l.tail_at;
-    if (l.count++ == 0) push_lane_key(LaneKey{e.when, e.meta, id});
+    e.meta = meta;
+    if (ring.size() == 1) push_lane_key(LaneKey{when, meta, &e});
     ++lane_n_;
   }
 
-  /// Grows lane `id`'s circle until it holds `n` live entries wherever its
-  /// head and tail sit, so pushes up to that depth splice no segment. The
-  /// lane heap, which holds at most one key per lane, makes room for twice
-  /// the lanes there are, so lanes created later (a link's service lane
-  /// appears at its first service) fit too.
+  /// Pre-sizes lane `id`'s ring to hold `n` entries without allocating.
+  /// The lane heap, which holds at most one key per lane, makes room for
+  /// twice the lanes there are, so lanes created later (a link's service
+  /// lane appears at its first service) fit too.
   void reserve_lane(LaneId id, std::size_t n) {
     lane_heap_.reserve(2 * lanes_.size());
-    Lane& l = lanes_[id];
-    if (l.tail == nullptr) {
-      l.tail = splice_segment(l);
-      l.tail_entries = l.tail->entries.get();
-      l.tail_at = 0;
-    }
-    // A tail that wraps round to the head's segment splices rather than
-    // share it, so the circle holds one segment less than its size.
-    std::size_t held = 0;
-    for (Segment* s = l.head->next; s != l.head; s = s->next) {
-      held += l.segment_entries;
-    }
-    for (; held < n; held += l.segment_entries) splice_segment(l);
+    lanes_[id].ring.reserve(n);
   }
 
   [[nodiscard]] bool empty() { return locate_next() == Next::kNone; }
@@ -374,10 +328,8 @@ class EventQueue {
       const LaneKey& top = lane_heap_[0];
       if (top.when > deadline) return false;
       clock = top.when;
-      const LaneId id = top.lane;
-      LaneDispatchGuard guard{*this, id};
-      Slot& s = lanes_[id].front().slot;
-      s.invoke(s.storage);
+      LaneDispatchGuard guard{*this, top.head->slot, lane_of(top)};
+      guard.s.invoke(guard.s.storage);
       return true;
     }
     const Key top = scratch_[drain_];
@@ -754,37 +706,20 @@ class EventQueue {
 
   // --- Lanes --------------------------------------------------------------
 
+  [[nodiscard]] static constexpr LaneId lane_of(const LaneKey& k) {
+    return static_cast<LaneId>(k.meta & kSlotMask);
+  }
+
+  LaneId add_lane(TimeNs delay) {
+    if (lanes_.size() > kSlotMask) {
+      throw std::length_error{"event queue lanes exhausted (16M lanes)"};
+    }
+    lanes_.push_back(Lane{delay});
+    return static_cast<LaneId>(lanes_.size() - 1);
+  }
+
   [[nodiscard]] static bool lane_before(const LaneKey& a, const LaneKey& b) {
     return before(Key{a.when, a.meta}, Key{b.when, b.meta});
-  }
-
-  /// Moves a lane's tail into the next segment of its circle, splicing in
-  /// a fresh segment when that one still holds the head's live entries
-  /// (or when the lane has no segment yet).
-  void advance_tail(Lane& l) {
-    Segment* next = l.tail == nullptr ? nullptr : l.tail->next;
-    if (next == nullptr || next == l.head) next = splice_segment(l);
-    l.tail = next;
-    l.tail_entries = next->entries.get();
-    l.tail_at = 0;
-  }
-
-  /// Splices a fresh segment into `l`'s circle right after its tail, or
-  /// makes it the whole circle (and the head) when the lane has none.
-  Segment* splice_segment(Lane& l) {
-    segments_.push_back(std::make_unique<Segment>(Segment{
-        std::make_unique_for_overwrite<LaneEntry[]>(l.segment_entries),
-        nullptr}));
-    Segment* fresh = segments_.back().get();
-    if (l.tail == nullptr) {
-      fresh->next = fresh;
-      l.head = fresh;
-      l.head_entries = fresh->entries.get();
-    } else {
-      fresh->next = l.tail->next;
-      l.tail->next = fresh;
-    }
-    return fresh;
   }
 
   /// Heap-inserts a lane that just became non-empty.
@@ -800,36 +735,31 @@ class EventQueue {
     lane_heap_[i] = key;
   }
 
-  /// Drops lane `id`'s head entry (its callable already fired) and re-keys the lane heap. Pre: `id` is the lane-heap top — no
-  /// push can overtake it, since every push (onto any lane) is keyed at or
-  /// after the clock with a fresh, larger sequence.
+  /// Drops lane `id`'s head entry (its callable already fired) and re-keys
+  /// the lane heap. Pre: `id` is the lane-heap top — no push can overtake
+  /// it, since every push (onto any lane) is keyed at or after the clock
+  /// with a fresh, larger sequence.
   void pop_lane_front(LaneId id) {
-    Lane& l = lanes_[id];
-    assert(!lane_heap_.empty() && lane_heap_[0].lane == id);
+    RingDeque<LaneEntry>& ring = lanes_[id].ring;
+    assert(!lane_heap_.empty() && lane_of(lane_heap_[0]) == id);
     --lane_n_;
+    ring.pop_front();
     LaneKey key;
-    if (--l.count != 0) {
-      if (++l.head_at == l.segment_entries) {
-        l.head = l.head->next;
-        l.head_entries = l.head->entries.get();
-        l.head_at = 0;
+    if (!ring.empty()) {
+      LaneEntry& h = ring.front();
+      key = LaneKey{h.when, h.meta, &h};
+      if (ring.size() > 1) {
+        // The entry after the new head was written a whole delay ago and
+        // is long out of cache; start pulling it in now, one fire ahead.
+        const LaneEntry& after = ring[1];
+        __builtin_prefetch(&after);
+        __builtin_prefetch(&after.slot.storage[kEventInlineBytes - 1]);
       }
-      const LaneEntry& h = l.front();
-      key = LaneKey{h.when, h.meta, id};
-      // The entry after the new head was written a whole delay ago and is
-      // long out of cache; start pulling it in now, one fire ahead.
-      const LaneEntry& after = l.head_at + 1 < l.segment_entries
-                                   ? l.head_entries[l.head_at + 1]
-                                   : l.head->next->entries[0];
-      __builtin_prefetch(&after);
-      __builtin_prefetch(&after.slot.storage[kEventInlineBytes - 1]);
     } else {
-      // Empty: restart at the head segment's first entry, so a lane that
-      // keeps draining (the link's, one packet in service) never walks.
-      l.tail = l.head;
-      l.tail_entries = l.head_entries;
-      l.head_at = 0;
-      l.tail_at = 0;
+      // Empty: the next push starts over at the front segment's first
+      // entry, so a lane that keeps draining (the link's, one packet in
+      // service) never walks.
+      ring.clear();
       key = lane_heap_.back();
       lane_heap_.pop_back();
       if (lane_heap_.empty()) return;
@@ -883,7 +813,6 @@ class EventQueue {
 
   // Lanes: rings indexed by LaneId, a binary heap over the non-empty ones.
   std::vector<Lane> lanes_;
-  std::vector<std::unique_ptr<Segment>> segments_;  ///< every lane's
   std::vector<LaneKey> lane_heap_;
   std::size_t lane_n_ = 0;  ///< events queued across all lanes
 };

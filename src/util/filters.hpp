@@ -1,16 +1,13 @@
 // Windowed extremum filters used by the congestion controls.
 //
-// Three implementations are provided:
-//   * WindowedFilter     — exact, monotone-ring-based; O(1) amortized and
-//                          allocation-free once the ring reaches its
-//                          high-water size. Copa's time windows use it.
-//   * RoundMaxFilter     — exact max over a window of whole rounds in
-//                          `window + 1` fixed slots. BBR and BBRv2 use it
-//                          for their bandwidth estimate.
-//   * KernelMinmaxFilter — the Linux kernel's 3-slot approximation
-//                          (lib/minmax.c), kept for fidelity experiments.
-// Tests cross-check RoundMaxFilter and KernelMinmaxFilter against
-// WindowedFilter.
+// Two implementations are provided:
+//   * WindowedFilter — exact, monotone-ring-based; O(1) amortized and
+//                      allocation-free once the ring reaches its
+//                      high-water size. Copa's time windows use it.
+//   * RoundMaxFilter — exact max over a window of whole rounds in
+//                      `window + 1` fixed slots. BBR and BBRv2 use it for
+//                      their bandwidth estimate.
+// Tests cross-check RoundMaxFilter against WindowedFilter.
 #pragma once
 
 #include <cassert>
@@ -168,70 +165,6 @@ class RoundMaxFilter {
   std::uint64_t round_ = kNoRound;  ///< round of the latest update
   std::size_t cur_ = 0;             ///< its slot
   double best_ = 0.0;
-};
-
-/// The Linux kernel's 3-slot windowed max estimator (lib/minmax.c),
-/// specialized to max (what tcp_bbr uses for bandwidth).
-///
-/// It is an approximation: it keeps the best, second-best and third-best
-/// samples by recency and ages them out as the window slides.
-template <typename T>
-class KernelMinmaxFilter {
- public:
-  KernelMinmaxFilter(TimeNs window, T default_value)
-      : window_(window), default_(default_value) {}
-
-  void update_max(TimeNs now, T value) {
-    if (empty_ || value >= slots_[0].value ||
-        now - slots_[2].time > window_) {
-      reset_to(now, value);
-      return;
-    }
-    if (value >= slots_[1].value) {
-      slots_[2] = {now, value};
-      slots_[1] = slots_[2];
-    } else if (value >= slots_[2].value) {
-      slots_[2] = {now, value};
-    }
-    subwin_update(now, value);
-  }
-
-  [[nodiscard]] T best() const { return empty_ ? default_ : slots_[0].value; }
-
- private:
-  struct Slot {
-    TimeNs time = 0;
-    T value{};
-  };
-
-  void reset_to(TimeNs now, T value) {
-    slots_[0] = slots_[1] = slots_[2] = {now, value};
-    empty_ = false;
-  }
-
-  // Port of minmax_subwin_update: rotate slots as the window slides.
-  void subwin_update(TimeNs now, T value) {
-    const TimeNs dt = now - slots_[0].time;
-    if (dt > window_) {
-      // Best sample expired: promote and record the new sample last.
-      slots_[0] = slots_[1];
-      slots_[1] = slots_[2];
-      slots_[2] = {now, value};
-      if (now - slots_[0].time > window_) {
-        slots_[0] = slots_[1];
-        slots_[1] = slots_[2];
-      }
-    } else if (slots_[1].time == slots_[0].time && dt > window_ / 4) {
-      slots_[2] = slots_[1] = {now, value};
-    } else if (slots_[2].time == slots_[1].time && dt > window_ / 2) {
-      slots_[2] = {now, value};
-    }
-  }
-
-  TimeNs window_;
-  T default_;
-  Slot slots_[3];
-  bool empty_ = true;
 };
 
 }  // namespace bbrnash

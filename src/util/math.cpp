@@ -1,9 +1,9 @@
 #include "util/math.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace bbrnash {
 
@@ -29,16 +29,6 @@ std::optional<double> find_root_bisect(const std::function<double(double)>& f,
     }
   }
   return 0.5 * (lo + hi);
-}
-
-double inverse_lerp(double lo, double hi, double x) {
-  if (hi == lo) return 0.0;
-  return std::clamp((x - lo) / (hi - lo), 0.0, 1.0);
-}
-
-bool nearly_equal(double a, double b, double tol) {
-  const double scale = std::max({1.0, std::fabs(a), std::fabs(b)});
-  return std::fabs(a - b) <= tol * scale;
 }
 
 double ensure_finite(double v, const char* what) {

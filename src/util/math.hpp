@@ -21,13 +21,6 @@ std::optional<double> find_root_bisect(const std::function<double(double)>& f,
                                        double lo, double hi,
                                        const RootOptions& opts = {});
 
-/// Linear interpolation parameter: returns t such that
-/// lo + t*(hi-lo) == x, clamped to [0,1].
-double inverse_lerp(double lo, double hi, double x);
-
-/// True when |a-b| <= tol * max(1, |a|, |b|) (mixed abs/rel comparison).
-bool nearly_equal(double a, double b, double tol = 1e-9);
-
 /// NaN/Inf guard for model outputs: returns `v` unchanged when finite,
 /// otherwise throws std::domain_error naming `what`. A silent NaN from a
 /// model evaluation would propagate into shares and NE payoffs and corrupt

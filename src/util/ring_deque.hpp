@@ -8,32 +8,37 @@
 // of kSegment entries (at most 256 bytes for elements of up to 16 bytes,
 // such as the sender's 4-byte sequence residues; 16 entries for larger
 // ones: 512 bytes for the sender's 32-byte records and for 32-byte
-// packets) and reaches them through a power-of-two table
-// of segment pointers: the element at position p sits at
-// table[(p / kSegment) mod slots][p mod kSegment], where positions count
-// up from the front as elements are pushed.
+// packets, 1,280 bytes for the event queue's 80-byte lane entries) and
+// reaches them through a power-of-two table of segment pointers: the
+// element at position p sits at table[(p / kSegment) mod slots][p mod
+// kSegment], where positions count up from the front as elements are
+// pushed.
 //
 // The ring keeps a run of consecutively numbered segments, each in its
 // table slot: the ones the front has left, then the ones holding
 // elements, then empty ones past the back. Popping only moves the front
-// or back position; segments stay where they are. When push_back needs a
+// or back position; segments stay where they are. When a push needs a
 // segment past the run, it takes the oldest one the front has left
 // (moving one pointer in the table) and allocates only when there is none.
-// So growth never copies an element, and unless reserve() asked for more,
+// So an element never moves once pushed (an event firing from its lane
+// entry may push onto its own lane), and unless reserve() asked for more,
 // the ring keeps exactly as many segments as its widest span needed:
 // capacity() is at most the largest size() reached, rounded up to a
 // segment, plus one segment (the front can sit anywhere inside its
 // segment). Only a full table grows, and it doubles by moving segment
 // pointers.
 //
-// Only push_back branches on a segment boundary (once per kSegment
-// pushes); pop_front and pop_back just move a position, and front() and
-// operator[] look the segment up in the table. back() and push_back() use
-// a cached pointer to the back's segment.
+// Only a push branches on a segment boundary (once per kSegment pushes);
+// pop_front and pop_back just move a position, and front() and operator[]
+// look the segment up in the table. back(), push_back() and append() use
+// a cached pointer to the back's segment; append() hands the new back to
+// the caller to write in place (the event queue constructs a callable
+// into it).
 //
 // Restricted to trivially-copyable T on purpose: an element is written by
-// plain assignment, destruction is a no-op, and pop_front is just a head
-// bump — exactly the packet/record/sample types the simulator stores.
+// plain assignment or in place, destruction is a no-op, and pop_front is
+// just a head bump — exactly the packet/record/sample/lane-entry types the
+// simulator stores.
 #pragma once
 
 #include <algorithm>
@@ -91,12 +96,15 @@ class RingDeque {
     return tail_seg_[(head_ + size_ - 1) % kSegment];
   }
 
-  void push_back(const T& v) {
+  /// Appends an element for the caller to write in place; returns it.
+  T& append() {
     const std::size_t pos = head_ + size_;
     if (pos % kSegment == 0) [[unlikely]] enter_segment(pos / kSegment);
-    tail_seg_[pos % kSegment] = v;
     ++size_;
+    return tail_seg_[pos % kSegment];
   }
+
+  void push_back(const T& v) { append() = v; }
 
   void pop_front() {
     assert(size_ > 0);

@@ -163,6 +163,56 @@ TEST(EventQueue, ThrowingEventReleasesItsEntry) {
   EXPECT_EQ(token.use_count(), 1);
 }
 
+// A lane push whose callable throws while it is copied in leaves the lane
+// as it was: size() is unchanged and the queued events fire in order.
+// The throws land on an empty lane, on a segment boundary (the 17th entry
+// starts a lane's second segment) and inside a segment.
+TEST(EventQueue, ThrowingLanePushLeavesTheLaneAsItWas) {
+  struct Tagged {
+    std::vector<int>* order;
+    int tag;
+    bool explode;
+    Tagged(std::vector<int>* o, int t, bool e) : order(o), tag(t), explode(e) {}
+    Tagged(const Tagged& other)
+        : order(other.order), tag(other.tag), explode(other.explode) {
+      if (explode) throw std::runtime_error{"copy"};
+    }
+    Tagged& operator=(const Tagged&) = delete;
+    ~Tagged() = default;
+    void operator()() const { order->push_back(tag); }
+  };
+  EventQueue q;
+  std::vector<int> order;
+  const LaneId shared = q.lane(100);
+  const LaneId own = q.private_lane();
+  EXPECT_THROW(q.push_lane(own, 0, Tagged{&order, -1, true}),
+               std::runtime_error);
+  EXPECT_THROW(q.schedule_lane(shared, 0, Tagged{&order, -1, true}),
+               std::runtime_error);
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_TRUE(q.empty());
+  std::vector<int> expected;
+  for (int i = 0; i < 40; ++i) {
+    if (i == 16 || i == 23) {
+      const std::size_t before = q.size();
+      EXPECT_THROW(q.push_lane(own, i, Tagged{&order, -1, true}),
+                   std::runtime_error);
+      EXPECT_THROW(q.schedule_lane(shared, i, Tagged{&order, -1, true}),
+                   std::runtime_error);
+      EXPECT_EQ(q.size(), before);
+    }
+    q.push_lane(own, i, Tagged{&order, i, false});
+    q.schedule_lane(shared, i, Tagged{&order, 1000 + i, false});
+  }
+  EXPECT_EQ(q.size(), 80u);
+  for (int i = 0; i < 40; ++i) expected.push_back(i);
+  for (int i = 0; i < 40; ++i) expected.push_back(1000 + i);
+  const std::vector<TimeNs> whens = drain(q);
+  EXPECT_EQ(order, expected);
+  EXPECT_TRUE(std::is_sorted(whens.begin(), whens.end()));
+  EXPECT_EQ(q.size(), 0u);
+}
+
 // Steady-state schedule/fire cycles recycle pooled slots instead of
 // growing: size() returns to zero and ordering stays exact across many
 // refills.
@@ -287,10 +337,10 @@ TEST(EventQueue, LaneAndWheelMergeInScheduleOrder) {
   EXPECT_EQ(q.size(), 0u);
 }
 
-// A lane event whose own pushes outgrow its ring (splicing in segments)
-// must still see its captures intact and its pushes in FIFO order: lane
-// entries never move (an ASan build turns a violation into a
-// use-after-free report).
+// A lane event whose own pushes outgrow its ring (adding segments and
+// growing the ring's table) must still see its captures intact and its
+// pushes in FIFO order: lane entries never move (an ASan build turns a
+// violation into a use-after-free report).
 TEST(EventQueue, LaneGrowthWhileFiringKeepsCaptures) {
   EventQueue q;
   const LaneId lane = q.lane(7);
@@ -316,6 +366,37 @@ TEST(EventQueue, LaneGrowthWhileFiringKeepsCaptures) {
   EXPECT_EQ(seen[0], 0xC0FFEEu);
   for (std::uint64_t i = 0; i < 500; ++i) EXPECT_EQ(seen[i + 1], i);
   EXPECT_EQ(clock, 14);
+}
+
+// Lanes created while a lane event fires, enough to reallocate the queue's
+// lane table several times over, leave every queued head in place: the
+// heads queued before fire in order with their captures intact (an ASan
+// build turns a dangling head into a use-after-free report), and so does
+// the firing event's own payload after the table moved.
+TEST(EventQueue, LanesCreatedWhileFiringKeepQueuedHeads) {
+  EventQueue q;
+  std::vector<int> order;
+  TimeNs clock = 0;
+  const LaneId first = q.lane(5);
+  for (int i = 0; i < 4; ++i) {
+    q.push_lane(q.private_lane(), 10 + i, [&order, i] { order.push_back(i); });
+    q.schedule_lane(q.lane(20 + i), 0,
+                    [&order, i] { order.push_back(10 + i); });
+  }
+  q.schedule_lane(first, 0, [&q, &order] {
+    for (int k = 0; k < 200; ++k) {
+      const LaneId fresh = k % 2 == 0 ? q.private_lane() : q.lane(1000 + k);
+      q.push_lane(fresh, 100 + k, [&order, k] { order.push_back(100 + k); });
+    }
+    order.push_back(-1);  // reads this payload after the lanes moved
+  });
+  while (q.run_one(kTimeInf, clock)) {
+  }
+  std::vector<int> expected{-1, 0, 1, 2, 3, 10, 11, 12, 13};
+  for (int k = 0; k < 200; ++k) expected.push_back(100 + k);
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(clock, 299);
+  EXPECT_EQ(q.size(), 0u);
 }
 
 // Boxed (non-trivially-copyable) lane callables fire and are released,
@@ -420,9 +501,8 @@ TEST(EventQueue, LaneSegmentsAreReusedAfterADrain) {
   EXPECT_EQ(first, second);
 }
 
-// Reserving splices segments in after the tail, so it keeps the ring's
-// order whether the lane is empty or holds live entries with its head
-// part-way through a segment.
+// Reserving keeps the ring's order whether the lane is empty or holds
+// live entries with its head part-way through a segment.
 TEST(EventQueue, ReservingALaneKeepsItsOrder) {
   EventQueue q;
   const LaneId fresh = q.private_lane();

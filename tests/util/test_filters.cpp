@@ -212,153 +212,5 @@ TEST(RoundMaxFilter, MatchesWindowedFilterOnEqualMaxima) {
   }
 }
 
-TEST(KernelMinmaxFilter, TracksRisingMax) {
-  KernelMinmaxFilter<double> f{100, 0.0};
-  f.update_max(0, 1);
-  f.update_max(10, 5);
-  f.update_max(20, 3);
-  EXPECT_DOUBLE_EQ(f.best(), 5.0);
-}
-
-TEST(KernelMinmaxFilter, ForgetsStaleMax) {
-  KernelMinmaxFilter<double> f{100, 0.0};
-  f.update_max(0, 100);
-  for (TimeNs t = 10; t <= 300; t += 10) f.update_max(t, 10);
-  // After several windows the 100 must be gone.
-  EXPECT_DOUBLE_EQ(f.best(), 10.0);
-}
-
-TEST(KernelMinmaxFilter, RisingSampleAlwaysAdopted) {
-  // Whatever the slot state, a sample >= the current best replaces it.
-  KernelMinmaxFilter<double> kernel{50, 0.0};
-  Rng rng{7};
-  TimeNs now = 0;
-  double top = 0.0;
-  for (int i = 0; i < 300; ++i) {
-    now += static_cast<TimeNs>(rng.next_below(9));
-    const double v = rng.uniform(0, 100);
-    kernel.update_max(now, v);
-    top = std::max(top, v);
-    if (v >= top) {
-      EXPECT_DOUBLE_EQ(kernel.best(), v);
-    }
-    // The reported best is never above the all-time max and never below
-    // the newest sample (which is always inside the window).
-    EXPECT_LE(kernel.best(), top + 1e-9);
-    EXPECT_GE(kernel.best() + 1e-9, v);
-  }
-}
-
-// Direct transliteration of the kernel's lib/minmax.c running-max (slots
-// named s[0..2], same strict comparisons, same win/4 and win/2 subwindow
-// thresholds), used as the oracle for the differential test below. Times
-// are int64 nanoseconds instead of the kernel's wrapping u32 jiffies —
-// the simulator never wraps.
-struct MinmaxRef {
-  struct S {
-    TimeNs t = 0;
-    double v = 0;
-  };
-  S s[3];
-  bool empty = true;
-
-  double reset(TimeNs t, double meas) {
-    s[0] = s[1] = s[2] = S{t, meas};
-    empty = false;
-    return s[0].v;
-  }
-
-  double subwin_update(TimeNs win, TimeNs t, double meas) {
-    const TimeNs dt = t - s[0].t;
-    if (dt > win) {
-      s[0] = s[1];
-      s[1] = s[2];
-      s[2] = S{t, meas};
-      if (t - s[0].t > win) {
-        s[0] = s[1];
-        s[1] = s[2];
-      }
-    } else if (s[1].t == s[0].t && dt > win / 4) {
-      s[2] = s[1] = S{t, meas};
-    } else if (s[2].t == s[1].t && dt > win / 2) {
-      s[2] = S{t, meas};
-    }
-    return s[0].v;
-  }
-
-  double running_max(TimeNs win, TimeNs t, double meas) {
-    if (empty || meas >= s[0].v || t - s[2].t > win) {
-      return reset(t, meas);
-    }
-    if (meas >= s[1].v) {
-      s[2] = s[1] = S{t, meas};
-    } else if (meas >= s[2].v) {
-      s[2] = S{t, meas};
-    }
-    return subwin_update(win, t, meas);
-  }
-};
-
-// Differential test: KernelMinmaxFilter must match the lib/minmax.c
-// transliteration sample-for-sample, under adversarial timestamp gaps that
-// sit exactly on every boundary the algorithm branches on — most
-// importantly the window edge (now - s[2].t == window, which must NOT
-// reset: the kernel's staleness test is strictly greater-than) — and it
-// must stay bounded by the exact WindowedFilter.
-TEST(KernelMinmaxFilter, DifferentialMatchesLinuxMinmaxC) {
-  constexpr TimeNs kWin = 1000;
-  // Gap menu hits every comparison edge: 0 (same timestamp), the win/4 and
-  // win/2 subwindow thresholds (and their +-1 neighbours), the exact
-  // window edge kWin (kept) and kWin + 1 (stale -> reset), plus a huge
-  // jump far past the window.
-  constexpr TimeNs kGaps[] = {0,        1,         kWin / 4, kWin / 4 + 1,
-                              kWin / 2, kWin / 2 + 1, kWin - 1, kWin,
-                              kWin + 1, 3 * kWin};
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    KernelMinmaxFilter<double> kernel{kWin, 0.0};
-    MinmaxRef ref;
-    WindowedFilter<double> exact{FilterKind::kMax, kWin, 0.0};
-    Rng rng{seed};
-    TimeNs now = 0;
-    for (int i = 0; i < 2000; ++i) {
-      // Half the steps draw from the adversarial menu, half are random.
-      const TimeNs gap = (i % 2 == 0)
-                             ? kGaps[rng.next_below(std::size(kGaps))]
-                             : static_cast<TimeNs>(rng.next_below(kWin / 3));
-      now += gap;
-      // Coarse values make ties (the >= branches) common.
-      const double v = static_cast<double>(rng.next_below(12));
-      const double want = ref.running_max(kWin, now, v);
-      kernel.update_max(now, v);
-      exact.update(now, v);
-      ASSERT_DOUBLE_EQ(kernel.best(), want)
-          << "diverged from lib/minmax.c at step " << i << " seed " << seed
-          << " now " << now << " gap " << gap << " v " << v;
-      // The 3-slot approximation keeps real in-window samples, so it can
-      // only under-estimate the exact windowed max, and never falls below
-      // the newest sample.
-      ASSERT_LE(kernel.best(), exact.best())
-          << "over-estimated the true max at step " << i;
-      ASSERT_GE(kernel.best(), v);
-    }
-  }
-}
-
-// The exact window edge, pinned deterministically: a sample aged exactly
-// `window` is still in the window (strict > staleness test). One
-// nanosecond later it is stale and the filter resets to the new sample.
-TEST(KernelMinmaxFilter, ExactWindowEdgeDoesNotReset) {
-  constexpr TimeNs kWin = 1000;
-  KernelMinmaxFilter<double> f{kWin, 0.0};
-  f.update_max(0, 100.0);   // fills all three slots at t = 0
-  f.update_max(kWin, 1.0);  // now - s[2].t == window: NOT stale
-  EXPECT_DOUBLE_EQ(f.best(), 100.0);
-
-  KernelMinmaxFilter<double> g{kWin, 0.0};
-  g.update_max(0, 100.0);
-  g.update_max(kWin + 1, 1.0);  // one past the edge: everything expired
-  EXPECT_DOUBLE_EQ(g.best(), 1.0);
-}
-
 }  // namespace
 }  // namespace bbrnash

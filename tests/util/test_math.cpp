@@ -59,30 +59,5 @@ TEST(FindRootBisect, SteepFunctionStillConverges) {
   EXPECT_NEAR(*root, 0.5, 1e-7);
 }
 
-TEST(InverseLerp, MapsLinearly) {
-  EXPECT_DOUBLE_EQ(inverse_lerp(0, 10, 5), 0.5);
-  EXPECT_DOUBLE_EQ(inverse_lerp(10, 20, 10), 0.0);
-  EXPECT_DOUBLE_EQ(inverse_lerp(10, 20, 20), 1.0);
-}
-
-TEST(InverseLerp, ClampsOutOfRange) {
-  EXPECT_DOUBLE_EQ(inverse_lerp(0, 10, -5), 0.0);
-  EXPECT_DOUBLE_EQ(inverse_lerp(0, 10, 15), 1.0);
-}
-
-TEST(InverseLerp, DegenerateRangeIsZero) {
-  EXPECT_DOUBLE_EQ(inverse_lerp(3, 3, 3), 0.0);
-}
-
-TEST(NearlyEqual, AbsoluteForSmallNumbers) {
-  EXPECT_TRUE(nearly_equal(1e-12, 0.0, 1e-9));
-  EXPECT_FALSE(nearly_equal(1e-6, 0.0, 1e-9));
-}
-
-TEST(NearlyEqual, RelativeForLargeNumbers) {
-  EXPECT_TRUE(nearly_equal(1e9, 1e9 * (1 + 1e-10), 1e-9));
-  EXPECT_FALSE(nearly_equal(1e9, 1e9 * 1.01, 1e-9));
-}
-
 }  // namespace
 }  // namespace bbrnash

@@ -24,10 +24,20 @@ struct Wide {
   std::uint64_t words[6];
 };
 
+/// A lane-entry-sized element: 80 bytes, like the event queue's lane
+/// entries; 16 entries a segment.
+struct Entry {
+  std::uint64_t words[10];
+};
+
 template <typename T>
 T make(std::uint64_t v) {
   if constexpr (std::is_same_v<T, Wide>) {
     return Wide{{v, ~v, v * 3, v + 7, v ^ 0x55, v << 1}};
+  } else if constexpr (std::is_same_v<T, Entry>) {
+    Entry e{};
+    for (std::uint64_t i = 0; i < 10; ++i) e.words[i] = v * (i + 1) + i;
+    return e;
   } else {
     return static_cast<T>(v);
   }
@@ -39,8 +49,26 @@ std::uint64_t key(const T& t) {
     EXPECT_EQ(t.words[1], ~t.words[0]);
     EXPECT_EQ(t.words[5], t.words[0] << 1);
     return t.words[0];
+  } else if constexpr (std::is_same_v<T, Entry>) {
+    EXPECT_EQ(t.words[9], t.words[0] * 10 + 9);
+    return t.words[0];
   } else {
     return static_cast<std::uint64_t>(t);
+  }
+}
+
+/// Pushes `v`: by copy through push_back() for even values, in place
+/// through append() for odd ones (an Entry field by field, as the event
+/// queue constructs a callable into its new lane entry).
+template <typename T>
+void push(RingDeque<T>& ring, std::uint64_t v) {
+  if (v % 2 == 0) {
+    ring.push_back(make<T>(v));
+  } else if constexpr (std::is_same_v<T, Entry>) {
+    Entry& e = ring.append();
+    for (std::uint64_t i = 0; i < 10; ++i) e.words[i] = v * (i + 1) + i;
+  } else {
+    ring.append() = make<T>(v);
   }
 }
 
@@ -74,7 +102,7 @@ void run_differential(std::uint64_t seed, std::size_t peak, int steps) {
     const double u = rng.next_double();
     if (u < push_p) {
       const std::uint64_t v = key(make<T>(next++));
-      ring.push_back(make<T>(v));
+      push(ring, v);
       ref.push_back(v);
       high = std::max(high, ref.size());
     } else if (!ref.empty() && u < push_p + (1 - push_p) * 0.7) {
@@ -128,6 +156,14 @@ TEST(RingDeque, MatchesStdDequeOnRecordSizedElements) {
   static_assert(RingDeque<Wide>::kSegment == 16);
   for (const std::uint64_t seed : {1, 2, 3}) {
     run_differential<Wide>(seed, 3000, 200000);
+  }
+}
+
+TEST(RingDeque, MatchesStdDequeOnLaneEntriesWrittenInPlace) {
+  static_assert(sizeof(Entry) == 80);
+  static_assert(RingDeque<Entry>::kSegment == 16);
+  for (const std::uint64_t seed : {8, 9}) {
+    run_differential<Entry>(seed, 3000, 200000);
   }
 }
 

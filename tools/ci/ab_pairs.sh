@@ -17,8 +17,11 @@
 # Then, for each workload, seed and end-to-end metric in BENCHMARK.json,
 # it prints each side's median and quartiles, the pairs B won (ties count
 # for neither), and whether the medians differ by more than A's
-# interquartile range, the rule for claiming a gain; with more than one
-# workload or seed each table is headed by its workload (and seed). Last,
+# interquartile range, the rule for claiming a gain. A row whose A side
+# spreads wider than the metric's bound (A's IQR over its median above the
+# bound) is marked "spread above bound": that many pairs cannot tell a
+# change inside the bound from one past it. With more than one workload or
+# seed each table is headed by its workload (and seed). Last,
 # `BIN_B --compare` checks B's medians against the metrics' bounds for
 # every workload, once per seed; the script exits non-zero when any of
 # those checks failed.
@@ -111,9 +114,9 @@ values() {
     grep -o "\"$1\": {\"value\": [^,}]*" | sed 's/.*: //'
 }
 
-# "name better" for each end-to-end metric.
+# "name better bound" for each end-to-end metric.
 metrics=$(sed -n '/"end_to_end"/,/\]/p' BENCHMARK.json |
-          sed -n 's/.*"name": "\([^"]*\)".*"better": "\([^"]*\)".*/\1 \2/p')
+          sed -n 's/.*"name": "\([^"]*\)".*"better": "\([^"]*\)".*"bound": \([0-9.eE+-]*\).*/\1 \2 \3/p')
 
 for workload in "${workloads[@]}"; do
   for seed in "${seeds[@]}"; do
@@ -124,9 +127,9 @@ for workload in "${workloads[@]}"; do
     fi
     printf '\n%-14s %-6s %12s %12s %12s %8s  %s\n' metric side q1 median q3 \
            "B wins" "median gap vs A's IQR"
-    while read -r name better; do
+    while read -r name better bound; do
       paste <(values "$name" a) <(values "$name" b) |
-        awk -v name="$name" -v better="$better" '
+        awk -v name="$name" -v better="$better" -v bound="$bound" '
           function quantile(v, n, q,    pos, lo, frac) {
             pos = q * (n - 1); lo = int(pos); frac = pos - lo
             return lo + 1 < n ? v[lo] * (1 - frac) + v[lo + 1] * frac : v[lo]
@@ -154,9 +157,11 @@ for workload in "${workloads[@]}"; do
                                             : "B worse, resolved") \
                                 : "unresolved"
             printf "%-14s %-6s %12.6g %12.6g %12.6g\n", name, "A", qa1, ma, qa3
-            printf "%-14s %-6s %12.6g %12.6g %12.6g %3d/%-4d  %+.2f%%, gap %.4g vs IQR %.4g: %s\n",
+            spread = ma != 0 ? iqr / ma : 0
+            mark = spread > bound ? sprintf("; spread above bound (A IQR %.1f%% of median > %.0f%%)", 100 * spread, 100 * bound) : ""
+            printf "%-14s %-6s %12.6g %12.6g %12.6g %3d/%-4d  %+.2f%%, gap %.4g vs IQR %.4g: %s%s\n",
                    name, "B", quantile(b, n, 0.25), mb, quantile(b, n, 0.75),
-                   wins, n, 100 * (mb - ma) / ma, gap, iqr, verdict
+                   wins, n, 100 * (mb - ma) / ma, gap, iqr, verdict, mark
             if (ties > 0) printf "%-14s %d tied pairs\n", name, ties
           }'
     done <<< "$metrics"
