@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "exp/scenario_runner.hpp"
 #include "model/mishra_model.hpp"
 
 using namespace bbrnash;
@@ -30,8 +29,7 @@ int main(int argc, char** argv) {
                                         : std::vector<double>{2.0, 5.0, 10.0};
 
   // Flatten the (gain x buffer) grid into independent parallel cells; the
-  // per-trial loop inside a cell stays serial so its sum accumulates in
-  // the exact reference order.
+  // trials inside a cell run inline and reduce in trial order.
   struct Row {
     double model = 0, sim = 0;
   };
@@ -41,19 +39,11 @@ int main(int argc, char** argv) {
     const double bdp = buffers[c % buffers.size()];
     const NetworkParams net = make_params(50.0, 40.0, bdp);
     const auto model = two_flow_prediction(net);
-
-    double sum = 0.0;
-    for (int t = 0; t < trial.trials; ++t) {
-      Scenario s = make_mix_scenario(net, 1, 1);
-      s.duration = trial.duration;
-      s.warmup = trial.warmup;
-      s.seed = trial.seed + static_cast<std::uint64_t>(t) * 1000003ULL;
-      s.bbr_cwnd_gain = gain;
-      sum += run_scenario(s).avg_goodput_mbps(CcKind::kBbr);
-    }
+    Scenario mix = make_mix_scenario(net, 1, 1);
+    mix.bbr_cwnd_gain = gain;
     Row& r = rows[c];
     r.model = model ? to_mbps(model->lambda_bbr) : 0.0;
-    r.sim = sum / trial.trials;
+    r.sim = run_mix_trials(mix, CcKind::kBbr, trial).per_flow_other_mbps;
   });
 
   Table table({"cwnd_gain", "buffer_bdp", "model_mbps(g=2)", "sim_bbr_mbps",

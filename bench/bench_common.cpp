@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <stdexcept>
@@ -15,44 +14,49 @@ namespace bbrnash::bench {
 
 namespace {
 
-[[noreturn]] void usage_exit(const char* prog, const char* complaint) {
+[[noreturn]] void usage_exit(const char* prog, unsigned extra,
+                             const char* complaint) {
   std::fprintf(stderr,
                "%s\nusage: %s [--csv] [--seed N] "
                "[--fidelity quick|default|full] [--jobs N] [--audit] "
-               "[--chaos SEED] [--checkpoint PATH] [--workers N] "
-               "[--lease-ms MS] [--max-worker-retries N] [--fabric-stats]\n",
-               complaint, prog);
+               "[--chaos SEED]%s%s\n",
+               complaint, prog,
+               (extra & kCheckpointFlag) != 0 ? " [--checkpoint PATH]" : "",
+               (extra & kFabricFlags) != 0
+                   ? " [--workers N] [--lease-ms MS] "
+                     "[--max-worker-retries N] [--fabric-stats]"
+                   : "");
   std::exit(2);
-}
-
-std::string value_of(int argc, char** argv, int& i, const char* prog) {
-  if (i + 1 >= argc) {
-    const std::string msg = std::string{argv[i]} + " needs a value";
-    usage_exit(prog, msg.c_str());
-  }
-  return argv[++i];
 }
 
 }  // namespace
 
-BenchOptions parse_options(int argc, char** argv) {
+BenchOptions parse_options(int argc, char** argv, unsigned extra) {
   BenchOptions opts;
   opts.fidelity = fidelity_from_env();
   const char* prog = argc > 0 ? argv[0] : "bench";
+  const bool fabric = (extra & kFabricFlags) != 0;
+  const auto value_of = [&](int& i) -> std::string {
+    if (i + 1 >= argc) {
+      const std::string msg = std::string{argv[i]} + " needs a value";
+      usage_exit(prog, extra, msg.c_str());
+    }
+    return argv[++i];
+  };
   try {
     for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--csv") == 0) {
+      const std::string flag = argv[i];
+      if (flag == "--csv") {
         opts.csv = true;
-      } else if (std::strcmp(argv[i], "--audit") == 0) {
+      } else if (flag == "--audit") {
         opts.audit = true;
-      } else if (std::strcmp(argv[i], "--seed") == 0) {
-        opts.seed = parse_u64_strict("--seed", value_of(argc, argv, i, prog));
-      } else if (std::strcmp(argv[i], "--chaos") == 0) {
-        opts.chaos = true;
-        opts.chaos_seed =
-            parse_u64_strict("--chaos", value_of(argc, argv, i, prog));
-      } else if (std::strcmp(argv[i], "--fidelity") == 0) {
-        const std::string v = value_of(argc, argv, i, prog);
+      } else if (flag == "--seed") {
+        opts.seed = parse_u64_strict(flag, value_of(i));
+      } else if (flag == "--chaos") {
+        opts.chaos = std::make_shared<ChaosInjector>(
+            parse_u64_strict(flag, value_of(i)));
+      } else if (flag == "--fidelity") {
+        const std::string v = value_of(i);
         if (v == "quick") {
           opts.fidelity = Fidelity::kQuick;
         } else if (v == "default") {
@@ -61,31 +65,27 @@ BenchOptions parse_options(int argc, char** argv) {
           opts.fidelity = Fidelity::kFull;
         } else {
           const std::string msg = "--fidelity: unknown level '" + v + "'";
-          usage_exit(prog, msg.c_str());
+          usage_exit(prog, extra, msg.c_str());
         }
-      } else if (std::strcmp(argv[i], "--jobs") == 0) {
-        opts.jobs = parse_int_strict("--jobs", value_of(argc, argv, i, prog));
-      } else if (std::strcmp(argv[i], "--checkpoint") == 0) {
-        // Parsed by the bench itself from the raw argv; skip the value.
-        (void)value_of(argc, argv, i, prog);
-      } else if (std::strcmp(argv[i], "--workers") == 0) {
-        opts.workers =
-            parse_int_strict("--workers", value_of(argc, argv, i, prog));
-      } else if (std::strcmp(argv[i], "--lease-ms") == 0) {
-        opts.lease_ms =
-            parse_double_strict("--lease-ms", value_of(argc, argv, i, prog));
-      } else if (std::strcmp(argv[i], "--max-worker-retries") == 0) {
-        opts.max_worker_retries = parse_int_strict(
-            "--max-worker-retries", value_of(argc, argv, i, prog));
-      } else if (std::strcmp(argv[i], "--fabric-stats") == 0) {
+      } else if (flag == "--jobs") {
+        opts.jobs = parse_int_strict(flag, value_of(i));
+      } else if (flag == "--checkpoint" && (extra & kCheckpointFlag) != 0) {
+        opts.checkpoint = value_of(i);
+      } else if (flag == "--workers" && fabric) {
+        opts.workers = parse_int_strict(flag, value_of(i));
+      } else if (flag == "--lease-ms" && fabric) {
+        opts.lease_ms = parse_double_strict(flag, value_of(i));
+      } else if (flag == "--max-worker-retries" && fabric) {
+        opts.max_worker_retries = parse_int_strict(flag, value_of(i));
+      } else if (flag == "--fabric-stats" && fabric) {
         opts.fabric_stats = true;
       } else {
-        const std::string msg = std::string{"unknown flag '"} + argv[i] + "'";
-        usage_exit(prog, msg.c_str());
+        const std::string msg = "unknown flag '" + flag + "'";
+        usage_exit(prog, extra, msg.c_str());
       }
     }
   } catch (const std::invalid_argument& e) {
-    usage_exit(prog, e.what());
+    usage_exit(prog, extra, e.what());
   }
   return opts;
 }
@@ -116,9 +116,7 @@ TrialConfig trial_config(const BenchOptions& opts) {
   cfg.seed = opts.seed;
   cfg.jobs = opts.jobs;
   cfg.audit.enabled = opts.audit;
-  if (opts.chaos) {
-    cfg.guard.chaos = std::make_shared<ChaosInjector>(opts.chaos_seed);
-  }
+  cfg.guard.chaos = opts.chaos;
   return cfg;
 }
 
@@ -128,38 +126,11 @@ void for_each_cell(const BenchOptions& opts, std::size_t n,
 }
 
 void print_parallel_summary(const BenchOptions& opts) {
-  if (opts.csv) return;
-  std::printf("### %s\n", describe(parallel_telemetry()).c_str());
-}
-
-FabricConfig fabric_config(const BenchOptions& opts) {
-  FabricConfig fab;
-  fab.workers = opts.workers;
-  fab.lease_ms = opts.lease_ms;
-  fab.max_worker_retries = opts.max_worker_retries;
-  if (opts.chaos) {
-    fab.chaos = std::make_shared<ChaosInjector>(opts.chaos_seed);
-  }
-  return fab;
-}
-
-void print_fabric_summary(const BenchOptions& opts, const FabricStats& stats) {
   if (!opts.csv) {
-    std::printf(
-        "### fabric: %d workers, %llu/%llu cells committed "
-        "(%llu resumed, %llu reassigned, %llu deaths, %llu hangs), "
-        "%.1f cells/s\n",
-        static_cast<int>(stats.workers.size()),
-        static_cast<unsigned long long>(stats.cells_committed),
-        static_cast<unsigned long long>(stats.cells_total),
-        static_cast<unsigned long long>(stats.cells_from_checkpoint),
-        static_cast<unsigned long long>(stats.cells_reassigned),
-        static_cast<unsigned long long>(stats.worker_deaths),
-        static_cast<unsigned long long>(stats.worker_hangs),
-        stats.cells_per_second);
+    std::printf("### %s\n", describe(parallel_telemetry()).c_str());
   }
-  if (opts.fabric_stats) {
-    std::printf("%s\n", fabric_stats_to_record(stats).encode().c_str());
+  if (opts.chaos) {
+    std::fprintf(stderr, "%s\n", opts.chaos->describe().c_str());
   }
 }
 

@@ -2,10 +2,11 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "exp/fabric.hpp"
+#include "exp/chaos.hpp"
 #include "exp/fidelity.hpp"
 #include "exp/sweeps.hpp"
 #include "util/table.hpp"
@@ -13,10 +14,20 @@
 
 namespace bbrnash::bench {
 
+/// Flags a driver accepts beyond the common set. Every other driver
+/// rejects them as unknown, so a flag never runs silently ignored.
+enum ExtraFlags : unsigned {
+  kNoExtraFlags = 0,
+  /// --workers N --lease-ms MS --max-worker-retries N --fabric-stats
+  kFabricFlags = 1U << 0,
+  /// --checkpoint PATH
+  kCheckpointFlag = 1U << 1,
+};
+
 /// Parsed command line common to all benches:
 ///   [--csv] [--seed N] [--fidelity quick|default|full] [--jobs N]
-///   [--audit] [--chaos SEED] [--workers N] [--lease-ms MS]
-///   [--max-worker-retries N] [--fabric-stats]
+///   [--audit] [--chaos SEED]
+/// plus the driver's ExtraFlags.
 struct BenchOptions {
   bool csv = false;
   std::uint64_t seed = 1;
@@ -27,24 +38,24 @@ struct BenchOptions {
   /// Conservation audit on every trial (--audit). Read-only sampling, so
   /// the figures are identical with or without it.
   bool audit = false;
-  /// Deterministic fault injection (--chaos SEED); 0 = off. Every fault
-  /// is retried with the same trial seed, so figures stay bit-identical.
-  bool chaos = false;
-  std::uint64_t chaos_seed = 0;
-  /// Fabric mode (--workers N, N >= 1): shard sweep cells across forked
-  /// worker processes (exp/fabric.hpp) instead of in-process threads.
-  /// 0 = in-process (the default). Output is bit-identical either way.
+  /// Deterministic fault injection (--chaos SEED); null = off. One
+  /// injector per run, so each fault site fires once across every sweep
+  /// the driver runs; every fault is retried with the same trial seed, so
+  /// figures stay bit-identical.
+  std::shared_ptr<ChaosInjector> chaos;
+  /// Forked fabric worker processes (exp/fabric.hpp) for the cells.
   int workers = 0;
   double lease_ms = 2000.0;      ///< --lease-ms: heartbeat deadline
   int max_worker_retries = 3;    ///< --max-worker-retries: per-cell budget
   bool fabric_stats = false;     ///< --fabric-stats: JSON stats record
+  std::string checkpoint;        ///< --checkpoint PATH: JSONL resume log
 };
 
-/// Strict parser: an unknown flag or malformed value prints a diagnosis
-/// and exits 2 — a typo'd knob must never silently run the default sweep.
-/// `--checkpoint PATH` is recognised (and skipped) here because some
-/// benches parse it themselves from the raw argv.
-BenchOptions parse_options(int argc, char** argv);
+/// Strict parser: an unknown flag (a flag outside the common set and
+/// `extra`) or a malformed value prints a diagnosis and exits 2 — a
+/// typo'd knob must never silently run the default sweep.
+BenchOptions parse_options(int argc, char** argv,
+                           unsigned extra = kNoExtraFlags);
 
 /// Prints the figure banner: what is being reproduced and at what fidelity.
 void print_banner(const BenchOptions& opts, const std::string& figure,
@@ -62,16 +73,9 @@ TrialConfig trial_config(const BenchOptions& opts);
 void for_each_cell(const BenchOptions& opts, std::size_t n,
                    const std::function<void(std::size_t)>& fn);
 
-/// Prints the per-run parallel telemetry footer (suppressed under --csv).
+/// Prints the per-run parallel telemetry footer (suppressed under --csv)
+/// and, under --chaos, the injector's `chaos seed=... fired=...` summary
+/// to stderr.
 void print_parallel_summary(const BenchOptions& opts);
-
-/// FabricConfig mirroring the fabric-mode flags (workers, lease, retry
-/// budget, chaos injector). Meaningful when opts.workers >= 1.
-FabricConfig fabric_config(const BenchOptions& opts);
-
-/// Prints the fabric footer: a human summary line, plus the
-/// bbrnash-fabric-stats-v1 JSON record when --fabric-stats was given
-/// (the record prints even under --csv; the summary line does not).
-void print_fabric_summary(const BenchOptions& opts, const FabricStats& stats);
 
 }  // namespace bbrnash::bench

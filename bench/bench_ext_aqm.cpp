@@ -11,8 +11,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "exp/nash_search.hpp"
-#include "exp/scenario_runner.hpp"
 
 using namespace bbrnash;
 using namespace bbrnash::bench;
@@ -21,25 +19,9 @@ namespace {
 
 MixOutcome run_with_aqm(const NetworkParams& net, int nc, int nb,
                         AqmKind aqm, const TrialConfig& trial) {
-  MixOutcome avg;
-  for (int t = 0; t < trial.trials; ++t) {
-    Scenario s = make_mix_scenario(net, nc, nb);
-    s.duration = trial.duration;
-    s.warmup = trial.warmup;
-    s.seed = trial.seed + static_cast<std::uint64_t>(t) * 1000003ULL;
-    s.aqm = aqm;
-    const RunResult r = run_scenario(s);
-    avg.per_flow_cubic_mbps += r.avg_goodput_mbps(CcKind::kCubic);
-    avg.per_flow_other_mbps += r.avg_goodput_mbps(CcKind::kBbr);
-    avg.avg_queue_delay_ms += r.avg_queue_delay_ms;
-    avg.link_utilization += r.link_utilization;
-  }
-  const auto k = static_cast<double>(trial.trials);
-  avg.per_flow_cubic_mbps /= k;
-  avg.per_flow_other_mbps /= k;
-  avg.avg_queue_delay_ms /= k;
-  avg.link_utilization /= k;
-  return avg;
+  Scenario mix = make_mix_scenario(net, nc, nb);
+  mix.aqm = aqm;
+  return run_mix_trials(mix, CcKind::kBbr, trial);
 }
 
 }  // namespace
@@ -53,9 +35,8 @@ int main(int argc, char** argv) {
   const NetworkParams net = make_params(50.0, 40.0, 5.0);
   const TrialConfig trial = trial_config(opts);
 
-  // Each AQM is an independent cell (the per-trial loop inside
-  // run_with_aqm stays serial so the averages accumulate in reference
-  // order); rows are emitted in kAllAqmKinds order.
+  // Each AQM is an independent cell (its trials run inline and reduce in
+  // trial order); rows are emitted in kAllAqmKinds order.
   std::vector<MixOutcome> aqm_rows(std::size(kAllAqmKinds));
   for_each_cell(opts, aqm_rows.size(), [&](std::size_t i) {
     aqm_rows[i] = run_with_aqm(net, 1, 1, kAllAqmKinds[i], trial);

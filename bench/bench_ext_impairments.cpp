@@ -14,7 +14,6 @@
 //                      restarted with the same path resumes and reproduces
 //                      the uninterrupted numbers exactly.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -26,13 +25,7 @@ using namespace bbrnash;
 using namespace bbrnash::bench;
 
 int main(int argc, char** argv) {
-  const BenchOptions opts = parse_options(argc, argv);
-  std::string checkpoint_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--checkpoint") == 0 && i + 1 < argc) {
-      checkpoint_path = argv[i + 1];
-    }
-  }
+  const BenchOptions opts = parse_options(argc, argv, kCheckpointFlag);
   print_banner(opts, "Extension: impairments",
                "empirical NE (k = BBR flows of 8) under i.i.d. loss x "
                "buffer depth (20 Mbps, 20 ms)");
@@ -44,7 +37,7 @@ int main(int argc, char** argv) {
   NashSearchConfig cfg;
   cfg.trial = trial_config(opts);
   cfg.tolerance_frac = 0.10;
-  cfg.checkpoint_path = checkpoint_path;
+  cfg.checkpoint_path = opts.checkpoint;
   // Guarded trials: a generous event budget aborts a runaway cell instead
   // of hanging the sweep, and a degenerate trial gets one seed-bump retry.
   cfg.trial.guard.watchdog.max_events = 200'000'000;
@@ -82,8 +75,8 @@ int main(int argc, char** argv) {
         "toward more BBR (its loss resilience is worth more when CUBIC "
         "bleeds); the model columns are the paper's clean-path prediction "
         "for reference.\n");
-    if (!checkpoint_path.empty()) {
-      std::printf("checkpoint: %s\n", checkpoint_path.c_str());
+    if (!opts.checkpoint.empty()) {
+      std::printf("checkpoint: %s\n", opts.checkpoint.c_str());
     }
   }
   print_parallel_summary(opts);

@@ -6,14 +6,15 @@
 // to the in-process run before reporting.
 //
 // The default grid is the paper's k = 0..N payoff column at bench
-// fidelity; --workers picks the pool size (default 2 here, unlike the
-// figure benches where 0 means in-process only).
+// fidelity; --workers picks the pool size (default 2). This is the only
+// bench driver that takes the fabric flags.
 #include <chrono>
 #include <cstdio>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "exp/checkpoint.hpp"
+#include "exp/fabric.hpp"
 
 using namespace bbrnash;
 using namespace bbrnash::bench;
@@ -28,10 +29,42 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+FabricConfig fabric_config(const BenchOptions& opts) {
+  FabricConfig fab;
+  fab.workers = opts.workers;
+  fab.lease_ms = opts.lease_ms;
+  fab.max_worker_retries = opts.max_worker_retries;
+  fab.chaos = opts.chaos;
+  return fab;
+}
+
+/// A human summary line, plus the bbrnash-fabric-stats-v1 JSON record
+/// when --fabric-stats was given (the record prints even under --csv; the
+/// summary line does not).
+void print_fabric_summary(const BenchOptions& opts, const FabricStats& stats) {
+  if (!opts.csv) {
+    std::printf(
+        "### fabric: %d workers, %llu/%llu cells committed "
+        "(%llu resumed, %llu reassigned, %llu deaths, %llu hangs), "
+        "%.1f cells/s\n",
+        static_cast<int>(stats.workers.size()),
+        static_cast<unsigned long long>(stats.cells_committed),
+        static_cast<unsigned long long>(stats.cells_total),
+        static_cast<unsigned long long>(stats.cells_from_checkpoint),
+        static_cast<unsigned long long>(stats.cells_reassigned),
+        static_cast<unsigned long long>(stats.worker_deaths),
+        static_cast<unsigned long long>(stats.worker_hangs),
+        stats.cells_per_second);
+  }
+  if (opts.fabric_stats) {
+    std::printf("%s\n", fabric_stats_to_record(stats).encode().c_str());
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchOptions opts = parse_options(argc, argv);
+  BenchOptions opts = parse_options(argc, argv, kFabricFlags);
   if (opts.workers < 1) opts.workers = 2;
   print_banner(opts, "Fabric",
                "sweep cells/sec: in-process vs forked worker fabric");
@@ -90,5 +123,6 @@ int main(int argc, char** argv) {
                 fabric_s / serial_s, opts.workers);
   }
   print_fabric_summary(opts, out.stats);
+  print_parallel_summary(opts);
   return diverged == 0 ? 0 : 1;
 }

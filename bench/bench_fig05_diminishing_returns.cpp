@@ -30,36 +30,17 @@ void run_panel(const BenchOptions& opts, int total_flows, double buffer_bdp) {
   for (int k = 1; k <= total_flows; k += step) ks.push_back(k);
 
   // Parallel cells, slot-committed; table rows and trend statistics are
-  // reduced in k order afterwards (byte-identical for every --jobs, and —
-  // under --workers N — for every fabric claim/crash schedule).
+  // reduced in k order afterwards (byte-identical for every --jobs).
   struct Row {
     double lo = 0, hi = 0, sim = 0;
   };
   std::vector<Row> rows(ks.size());
-  if (opts.workers >= 1) {
-    std::vector<FabricCell> cells;
-    cells.reserve(ks.size());
-    for (const int k : ks) cells.push_back(FabricCell{total_flows - k, k});
-    const FabricOutcome out = run_fabric_cells(net, cells, CcKind::kBbr,
-                                               trial, fabric_config(opts));
-    if (!out.complete()) {
-      std::fprintf(stderr, "fabric: %s: %s\n", to_string(out.status),
-                   out.message.c_str());
-    }
-    for (std::size_t i = 0; i < ks.size(); ++i) {
-      if (out.cells[i].has_value()) {
-        rows[i].sim = out.cells[i]->per_flow_other_mbps;
-      }
-    }
-    print_fabric_summary(opts, out.stats);
-  } else {
-    for_each_cell(opts, ks.size(), [&](std::size_t i) {
-      const int k = ks[i];
-      const MixOutcome sim =
-          run_mix_trials(net, total_flows - k, k, CcKind::kBbr, trial);
-      rows[i].sim = sim.per_flow_other_mbps;
-    });
-  }
+  for_each_cell(opts, ks.size(), [&](std::size_t i) {
+    const int k = ks[i];
+    const MixOutcome sim =
+        run_mix_trials(net, total_flows - k, k, CcKind::kBbr, trial);
+    rows[i].sim = sim.per_flow_other_mbps;
+  });
   for (std::size_t i = 0; i < ks.size(); ++i) {
     const int nc = total_flows - ks[i];
     Row& r = rows[i];

@@ -1,11 +1,7 @@
-// related_work_games: the older congestion-control games the paper's §6
-// cites, replayed with this library.
+// related_work_games: an older congestion-control game the paper cites,
+// replayed with this library.
 //
-//   (1) Reno vs Vegas (Akella et al. 2002, Trinh & Molnár 2004): a 2-flow
-//       game where loss-based Reno starves delay-based Vegas, so "both
-//       play Reno" is the equilibrium — the historical reason delay-based
-//       CC never took over.
-//   (2) NewReno vs CUBIC: the transition the paper's introduction uses as
+//   (1) NewReno vs CUBIC: the transition the paper's introduction uses as
 //       its precedent — CUBIC wins at every distribution on a high-BDP
 //       path, so unlike BBR it had a strictly dominant incentive.
 //
@@ -80,15 +76,12 @@ int main(int argc, char** argv) try {
               "%.0f BDP (per-flow Mbps)\n\n",
               cap, rtt, bdp);
 
-  std::printf("(1) Reno vs Vegas — why delay-based CC lost the 2000s:\n");
-  two_by_two_game(net, CcKind::kReno, CcKind::kVegas, "reno", "vegas");
-
-  std::printf("(2) NewReno vs CUBIC — the precedent the paper starts from:\n");
+  std::printf("(1) NewReno vs CUBIC — the precedent the paper starts from:\n");
   two_by_two_game(net, CcKind::kReno, CcKind::kCubic, "reno", "cubic");
 
   std::printf(
-      "(3) CUBIC vs BBR — the paper's game: see bench_fig05/fig09 for the\n"
-      "    full population sweeps; unlike (1) and (2), neither strategy\n"
+      "(2) CUBIC vs BBR — the paper's game: see bench_fig05/fig09 for the\n"
+      "    full population sweeps; unlike (1), neither strategy\n"
       "    dominates and the population settles at a mixed equilibrium.\n");
   return 0;
 } catch (const std::invalid_argument& e) {

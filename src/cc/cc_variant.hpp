@@ -23,13 +23,12 @@
 #include "cc/copa.hpp"
 #include "cc/cubic.hpp"
 #include "cc/reno.hpp"
-#include "cc/vegas.hpp"
 #include "cc/vivace.hpp"
 
 namespace bbrnash {
 
 class CcVariant {
-  using Var = std::variant<Cubic, Reno, Bbr, BbrV2, Copa, Vivace, Vegas>;
+  using Var = std::variant<Cubic, Reno, Bbr, BbrV2, Copa, Vivace>;
 
   /// Switch-on-index dispatch (instead of std::visit's function-pointer
   /// table) so each arm is a direct call the optimizer inlines into the
@@ -44,8 +43,7 @@ class CcVariant {
       case 2: return f(*std::get_if<2>(&self.v_));
       case 3: return f(*std::get_if<3>(&self.v_));
       case 4: return f(*std::get_if<4>(&self.v_));
-      case 5: return f(*std::get_if<5>(&self.v_));
-      default: return f(*std::get_if<6>(&self.v_));
+      default: return f(*std::get_if<5>(&self.v_));
     }
   }
 
@@ -58,7 +56,6 @@ class CcVariant {
   explicit CcVariant(BbrV2 cc) : v_(std::move(cc)) {}
   explicit CcVariant(Copa cc) : v_(std::move(cc)) {}
   explicit CcVariant(Vivace cc) : v_(std::move(cc)) {}
-  explicit CcVariant(Vegas cc) : v_(std::move(cc)) {}
 
   CcVariant(CcVariant&&) = default;
   CcVariant& operator=(CcVariant&&) = default;

@@ -13,6 +13,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 #include "net/packet.hpp"
 #include "util/rng.hpp"
@@ -55,9 +57,15 @@ struct LossEvent {
 };
 
 /// The algorithms this repository implements.
-enum class CcKind { kCubic, kReno, kBbr, kBbrV2, kCopa, kVivace, kVegas };
+enum class CcKind { kCubic, kReno, kBbr, kBbrV2, kCopa, kVivace };
+
+inline constexpr CcKind kAllCcKinds[] = {CcKind::kCubic, CcKind::kReno,
+                                         CcKind::kBbr,   CcKind::kBbrV2,
+                                         CcKind::kCopa,  CcKind::kVivace};
 
 [[nodiscard]] const char* to_string(CcKind kind);
+/// The kind whose to_string is `name`; nullopt for any other name.
+[[nodiscard]] std::optional<CcKind> parse_cc_kind(std::string_view name);
 
 /// Common knobs shared by all algorithms.
 struct CcConfig {

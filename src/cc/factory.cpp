@@ -18,10 +18,15 @@ const char* to_string(CcKind kind) {
       return "copa";
     case CcKind::kVivace:
       return "vivace";
-    case CcKind::kVegas:
-      return "vegas";
   }
   return "unknown";
+}
+
+std::optional<CcKind> parse_cc_kind(std::string_view name) {
+  for (const CcKind k : kAllCcKinds) {
+    if (name == to_string(k)) return k;
+  }
+  return std::nullopt;
 }
 
 namespace {
@@ -75,13 +80,6 @@ VivaceConfig vivace_config(const CcConfig& cfg) {
   return c;
 }
 
-VegasConfig vegas_config(const CcConfig& cfg) {
-  VegasConfig c;
-  c.mss = cfg.mss;
-  c.initial_cwnd = cfg.initial_cwnd;
-  return c;
-}
-
 }  // namespace
 
 CcVariant make_cc_variant(CcKind kind, const CcConfig& cfg) {
@@ -98,8 +96,6 @@ CcVariant make_cc_variant(CcKind kind, const CcConfig& cfg) {
       return CcVariant{Copa{copa_config(cfg)}};
     case CcKind::kVivace:
       return CcVariant{Vivace{vivace_config(cfg)}};
-    case CcKind::kVegas:
-      return CcVariant{Vegas{vegas_config(cfg)}};
   }
   throw std::invalid_argument{"unknown congestion control kind"};
 }

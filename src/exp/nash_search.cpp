@@ -11,7 +11,6 @@
 #include "exp/chaos.hpp"
 #include "exp/checkpoint.hpp"
 #include "exp/parallel.hpp"
-#include "exp/scenario_runner.hpp"
 
 namespace bbrnash {
 
@@ -24,17 +23,25 @@ std::unique_ptr<CheckpointLog> open_checkpoint(const NashSearchConfig& cfg) {
                                          cfg.trial.guard.chaos.get());
 }
 
-/// A cell whose every trial failed has no measurement; its all-zero
-/// averages would read as "0 Mbps" and silently skew the NE search, so
-/// surface the per-trial diagnostics as a hard error instead.
+/// A cell or profile whose every trial failed has no measurement; its
+/// all-zero averages would read as "0 Mbps" and silently skew the NE
+/// search, so surface the per-trial diagnostics as a hard error instead.
+[[noreturn]] void throw_unmeasured(std::string what,
+                                   const std::vector<std::string>& failures) {
+  what += " completed zero trials";
+  for (const std::string& f : failures) what += "\n  " + f;
+  throw std::runtime_error{what};
+}
+
 const MixOutcome& require_measurement(const MixOutcome& m, int num_cubic,
                                       int num_other) {
-  if (m.trials_completed > 0) return m;
-  std::string msg = "NE search cell (" + std::to_string(num_cubic) +
-                    " CUBIC vs " + std::to_string(num_other) +
-                    " challenger) completed zero trials";
-  for (const std::string& f : m.failures) msg += "\n  " + f;
-  throw std::runtime_error{msg};
+  if (m.trials_completed == 0) {
+    throw_unmeasured("NE search cell (" + std::to_string(num_cubic) +
+                         " CUBIC vs " + std::to_string(num_other) +
+                         " challenger)",
+                     m.failures);
+  }
+  return m;
 }
 
 /// One payoff cell, with chaos-injected transient failures retried in
@@ -189,33 +196,34 @@ ProfileOutcome run_profile(BytesPerSec capacity, Bytes buffer_bytes,
   // The flow list is a pure function of (groups, profile): identical for
   // every trial, so build the group mapping once.
   std::vector<std::size_t> flow_group;
-  std::vector<FlowSpec> flows;
+  Scenario base;
+  base.capacity = capacity;
+  base.buffer_bytes = buffer_bytes;
   for (std::size_t g = 0; g < g_count; ++g) {
     const int cubics = profile.cubic_per_group[g];
     for (int i = 0; i < groups[g].flows; ++i) {
-      flows.push_back(
+      base.flows.push_back(
           {i < cubics ? CcKind::kCubic : challenger, groups[g].base_rtt});
       flow_group.push_back(g);
     }
   }
 
-  const int trials = trial.trials > 0 ? trial.trials : 1;
-  std::vector<RunResult> results(static_cast<std::size_t>(trials));
-  parallel_for(trial.jobs, static_cast<std::size_t>(trials),
-               [&](std::size_t t) {
-                 Scenario s;
-                 s.capacity = capacity;
-                 s.buffer_bytes = buffer_bytes;
-                 s.duration = trial.duration;
-                 s.warmup = trial.warmup;
-                 s.seed = trial.seed + static_cast<std::uint64_t>(t) * 1000003ULL;
-                 s.flows = flows;
-                 results[t] = run_scenario(s);
-               });
+  const TrialOutcomes trials = run_trials(base, trial);
+  if (trials.completed == 0) {
+    std::string what = "multi-RTT profile (";
+    for (std::size_t g = 0; g < g_count; ++g) {
+      if (g > 0) what += ", ";
+      what += std::to_string(profile.cubic_per_group[g]);
+    }
+    what += " CUBIC per group)";
+    throw_unmeasured(std::move(what), trials.failures);
+  }
 
-  // Reduce in trial order (bit-identical to the serial loop).
-  for (int t = 0; t < trials; ++t) {
-    const RunResult& r = results[static_cast<std::size_t>(t)];
+  // Reduce completed trials in trial order (bit-identical to the serial
+  // loop).
+  for (const RunOutcome& o : trials.runs) {
+    if (!o.ok()) continue;
+    const RunResult& r = o.result;
     std::vector<double> cubic_sum(g_count, 0.0);
     std::vector<double> other_sum(g_count, 0.0);
     std::vector<int> cubic_n(g_count, 0);
@@ -236,8 +244,8 @@ ProfileOutcome run_profile(BytesPerSec capacity, Bytes buffer_bytes,
     }
   }
   for (std::size_t g = 0; g < g_count; ++g) {
-    avg.cubic_mbps[g] /= trials;
-    avg.other_mbps[g] /= trials;
+    avg.cubic_mbps[g] /= trials.completed;
+    avg.other_mbps[g] /= trials.completed;
   }
   return avg;
 }

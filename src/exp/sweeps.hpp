@@ -44,6 +44,27 @@ struct TrialConfig {
   GuardConfig guard;
 };
 
+/// Every trial of one scenario, by trial index, with the sweep-hardening
+/// counts. A trial that still fails after its retries stays in `runs`
+/// (not ok()) and is reported in `failures` instead of taking the whole
+/// sweep down.
+struct [[nodiscard]] TrialOutcomes {
+  std::vector<RunOutcome> runs;
+  int completed = 0;
+  int retried = 0;   ///< completed trials that needed > 1 attempt
+  int failed = 0;
+  std::vector<std::string> failures;  ///< one diagnosis per failed trial
+};
+
+/// The one trial loop behind every measurement, and the only place trial
+/// seeds are derived (from cfg.seed and the trial index alone). `base`
+/// carries the flows and any scenario knob (aqm, bbr_cwnd_gain, ...); each
+/// trial copies it, applies cfg's duration, warm-up, path conditions and
+/// audit, and runs through run_scenario_guarded(cfg.guard) on cfg.jobs
+/// workers. Retry and failure counts also go to the parallel telemetry.
+[[nodiscard]] TrialOutcomes run_trials(const Scenario& base,
+                                       const TrialConfig& cfg);
+
 /// Averages over trials of a (num_cubic x CUBIC) vs (num_other x `other`)
 /// mix through `net`.
 struct [[nodiscard]] MixOutcome {
@@ -69,5 +90,10 @@ struct [[nodiscard]] MixOutcome {
 [[nodiscard]] MixOutcome run_mix_trials(const NetworkParams& net,
                                         int num_cubic, int num_other,
                                         CcKind other, const TrialConfig& cfg);
+
+/// The same averages over trials of `mix`, a CUBIC vs `other` flow mix
+/// with its own scenario knobs (e.g. make_mix_scenario plus an AQM).
+[[nodiscard]] MixOutcome run_mix_trials(const Scenario& mix, CcKind other,
+                                        const TrialConfig& cfg);
 
 }  // namespace bbrnash

@@ -19,7 +19,6 @@ TEST(CcFactory, CreatesEveryKind) {
   expect_holds<BbrV2>(CcKind::kBbrV2);
   expect_holds<Copa>(CcKind::kCopa);
   expect_holds<Vivace>(CcKind::kVivace);
-  expect_holds<Vegas>(CcKind::kVegas);
 }
 
 TEST(CcFactory, NamesAreStable) {
@@ -29,7 +28,15 @@ TEST(CcFactory, NamesAreStable) {
   EXPECT_STREQ(to_string(CcKind::kBbrV2), "bbrv2");
   EXPECT_STREQ(to_string(CcKind::kCopa), "copa");
   EXPECT_STREQ(to_string(CcKind::kVivace), "vivace");
-  EXPECT_STREQ(to_string(CcKind::kVegas), "vegas");
+}
+
+TEST(CcFactory, ParsesEveryNameAndNothingElse) {
+  for (const CcKind kind : kAllCcKinds) {
+    EXPECT_EQ(parse_cc_kind(to_string(kind)), kind) << to_string(kind);
+  }
+  EXPECT_EQ(parse_cc_kind("vegas"), std::nullopt);
+  EXPECT_EQ(parse_cc_kind("BBR"), std::nullopt);
+  EXPECT_EQ(parse_cc_kind(""), std::nullopt);
 }
 
 TEST(CcFactory, HonoursInitialCwnd) {

@@ -240,6 +240,35 @@ TEST(ChaosRecovery, NeCellFailureRecoversBitIdentical) {
   EXPECT_EQ(find_ne_crossing(net, total, chaos_cfg2), clean_ne);
 }
 
+// --- Trial exceptions inside a multi-RTT (Fig. 10) search ---------------
+
+TEST(ChaosRecovery, MultiRttSearchRecoversBitIdentical) {
+  const std::vector<RttGroup> groups = {{from_ms(10), 2}, {from_ms(30), 2}};
+  GroupProfile start;
+  start.cubic_per_group = {1, 1};
+  NashSearchConfig cfg;
+  cfg.trial.trials = 1;
+  cfg.trial.duration = from_sec(6);
+  cfg.trial.warmup = from_sec(2);
+  const auto buffer = static_cast<Bytes>(5.0 * mbps(20) * 0.010);
+  const MultiRttNe clean =
+      find_multi_rtt_ne(mbps(20), buffer, groups, start, cfg);
+
+  NashSearchConfig chaos_cfg = cfg;
+  chaos_cfg.trial.guard.chaos = std::make_shared<ChaosInjector>(7);
+  const MultiRttNe chaotic =
+      find_multi_rtt_ne(mbps(20), buffer, groups, start, chaos_cfg);
+  EXPECT_GE(chaos_cfg.trial.guard.chaos->total_fired(), 1u);
+  EXPECT_EQ(chaotic.profile.cubic_per_group, clean.profile.cubic_per_group);
+  EXPECT_EQ(chaotic.steps_taken, clean.steps_taken);
+  EXPECT_EQ(chaotic.converged, clean.converged);
+  ASSERT_EQ(chaotic.group_cubic_mbps.size(), clean.group_cubic_mbps.size());
+  for (std::size_t g = 0; g < clean.group_cubic_mbps.size(); ++g) {
+    EXPECT_DOUBLE_EQ(chaotic.group_cubic_mbps[g], clean.group_cubic_mbps[g]);
+    EXPECT_DOUBLE_EQ(chaotic.group_other_mbps[g], clean.group_other_mbps[g]);
+  }
+}
+
 // --- Flight recorder: one dump per failure trigger -----------------------
 
 TEST(FlightRecorderDump, InvariantTripDumpsTheRing) {

@@ -100,6 +100,27 @@ TEST(NashSearch, MultiRttBestResponseConverges) {
   ASSERT_EQ(ne.group_cubic_mbps.size(), 2u);
 }
 
+TEST(NashSearch, MultiRttProfileWithZeroCompletedTrialsThrows) {
+  const std::vector<RttGroup> groups = {{from_ms(10), 2}, {from_ms(40), 2}};
+  GroupProfile start;
+  start.cubic_per_group = {1, 1};
+  NashSearchConfig cfg = quick_cfg();
+  // Every profile's one trial runs with the injected seed and has no retry
+  // left: the search must stop with the diagnostics, not read 0 Mbps.
+  cfg.trial.guard.max_attempts = 1;
+  cfg.trial.guard.inject_failure_seeds = {cfg.trial.seed};
+  try {
+    (void)find_multi_rtt_ne(mbps(20), 100000, groups, start, cfg);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("(1, 1 CUBIC per group) completed zero trials"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("injected failure"), std::string::npos) << what;
+  }
+}
+
 TEST(NashSearch, GroupProfileTotals) {
   GroupProfile p;
   p.cubic_per_group = {3, 0, 7};

@@ -230,6 +230,37 @@ TEST(ParallelEquivalence, MeasurePayoffsFailedCellsThrowTheSameError) {
   }
 }
 
+// --- Serial equivalence: find_multi_rtt_ne -------------------------------
+
+std::string encode(const MultiRttNe& ne) {
+  std::string out;
+  char buf[40];
+  for (const int c : ne.profile.cubic_per_group) out += std::to_string(c) + ',';
+  for (const auto* v : {&ne.group_cubic_mbps, &ne.group_other_mbps}) {
+    out += '|';
+    for (const double x : *v) {
+      std::snprintf(buf, sizeof buf, "%.17g,", x);
+      out += buf;
+    }
+  }
+  return out + '|' + std::to_string(ne.steps_taken) + ',' +
+         std::to_string(ne.converged);
+}
+
+TEST(ParallelEquivalence, MultiRttNe) {
+  const std::vector<RttGroup> groups = {{from_ms(10), 2}, {from_ms(30), 2}};
+  GroupProfile start;
+  start.cubic_per_group = {1, 1};
+  const auto buffer = static_cast<Bytes>(5.0 * mbps(20) * 0.010);
+  NashSearchConfig cfg;
+  cfg.trial = quick_trials(2, 1);
+  const std::string serial =
+      encode(find_multi_rtt_ne(mbps(20), buffer, groups, start, cfg));
+  cfg.trial.jobs = 4;
+  EXPECT_EQ(serial,
+            encode(find_multi_rtt_ne(mbps(20), buffer, groups, start, cfg)));
+}
+
 TEST(ParallelEquivalence, CheckpointedPayoffsMatchAcrossJobsAndResume) {
   const NetworkParams net = make_params(20, 20, 3);
   NashSearchConfig cfg;

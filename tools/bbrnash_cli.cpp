@@ -95,15 +95,6 @@ struct Args {
   bool has(const std::string& key) const { return kv.count(key) != 0; }
 };
 
-std::optional<CcKind> parse_cc(const std::string& name) {
-  for (const CcKind k : {CcKind::kCubic, CcKind::kReno, CcKind::kBbr,
-                         CcKind::kBbrV2, CcKind::kCopa, CcKind::kVivace,
-                         CcKind::kVegas}) {
-    if (name == to_string(k)) return k;
-  }
-  return std::nullopt;
-}
-
 int usage() {
   std::fprintf(
       stderr,
@@ -212,7 +203,7 @@ int cmd_run(const Args& args) {
   s.impairments.jitter = from_ms(args.num("jitter-ms", 0));
   s.ack_impairments.loss_rate = args.num("ack-loss", 0);
 
-  // --flows cubic:4,bbr:2,vegas:1
+  // --flows cubic:4,bbr:2,copa:1
   std::stringstream flows{args.str("flows", "cubic:1,bbr:1")};
   std::string part;
   while (std::getline(flows, part, ',')) {
@@ -221,7 +212,7 @@ int cmd_run(const Args& args) {
     const int count = colon == std::string::npos
                           ? 1
                           : parse_int_strict("--flows", part.substr(colon + 1));
-    const auto kind = parse_cc(name);
+    const auto kind = parse_cc_kind(name);
     if (!kind || count < 0) {
       std::fprintf(stderr, "bad --flows entry '%s'\n", part.c_str());
       return usage();
@@ -363,7 +354,7 @@ int cmd_nash(const Args& args) {
   if (!args.empirical) return 0;
 
   NashSearchConfig cfg;
-  const auto challenger = parse_cc(args.str("challenger", "bbr"));
+  const auto challenger = parse_cc_kind(args.str("challenger", "bbr"));
   if (!challenger) {
     std::fprintf(stderr, "unknown challenger '%s'\n",
                  args.str("challenger", "").c_str());
@@ -419,7 +410,7 @@ int cmd_sweep(const Args& args) {
   }
 
   NashSearchConfig cfg;
-  const auto challenger = parse_cc(args.str("challenger", "bbr"));
+  const auto challenger = parse_cc_kind(args.str("challenger", "bbr"));
   if (!challenger) {
     std::fprintf(stderr, "unknown challenger '%s'\n",
                  args.str("challenger", "").c_str());

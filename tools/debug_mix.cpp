@@ -1,8 +1,8 @@
 // Developer tool: one-shot mix measurement vs model bounds.
 // Usage: debug_mix <cap_mbps> <rtt_ms> <buf_bdp> <n_cubic> <n_other> [cc] [dur_s] [trials]
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "exp/cli_flags.hpp"
 #include "exp/sweeps.hpp"
@@ -16,13 +16,9 @@ int main(int argc, char** argv) try {
   const double bdp = argc > 3 ? parse_double_strict("buf_bdp", argv[3]) : 3.0;
   const int nc = argc > 4 ? parse_int_strict("n_cubic", argv[4]) : 5;
   const int nb = argc > 5 ? parse_int_strict("n_other", argv[5]) : 5;
-  CcKind kind = CcKind::kBbr;
-  if (argc > 6) {
-    if (!std::strcmp(argv[6], "bbrv2")) kind = CcKind::kBbrV2;
-    if (!std::strcmp(argv[6], "copa")) kind = CcKind::kCopa;
-    if (!std::strcmp(argv[6], "vivace")) kind = CcKind::kVivace;
-    if (!std::strcmp(argv[6], "reno")) kind = CcKind::kReno;
-    if (!std::strcmp(argv[6], "cubic")) kind = CcKind::kCubic;
+  const auto kind = parse_cc_kind(argc > 6 ? argv[6] : "bbr");
+  if (!kind) {
+    throw std::invalid_argument{"unknown cc '" + std::string{argv[6]} + "'"};
   }
   const double dur = argc > 7 ? parse_double_strict("dur_s", argv[7]) : 60.0;
   const int trials = argc > 8 ? parse_int_strict("trials", argv[8]) : 1;
@@ -32,7 +28,7 @@ int main(int argc, char** argv) try {
   cfg.duration = from_sec(dur);
   cfg.warmup = from_sec(dur / 5);
   cfg.trials = trials;
-  const MixOutcome m = run_mix_trials(net, nc, nb, kind, cfg);
+  const MixOutcome m = run_mix_trials(net, nc, nb, *kind, cfg);
 
   std::printf("sim: per-flow cubic %.2f Mbps, other %.2f Mbps | util %.3f "
               "qdelay %.1f ms | b_c avg %.0f kB min %.0f kB, b_other %.0f kB\n",
